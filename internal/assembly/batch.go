@@ -68,20 +68,21 @@ func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfi
 	// Dies fabricate concurrently, each on its own (Seed, index)-derived
 	// RNG stream; nil marks the collision failures KGD testing discards.
 	// Workers reuse one RNG and frequency buffer across trials, so a
-	// discarded die costs zero allocations; only KGD survivors allocate
-	// their retained frequency and error vectors.
+	// discarded die costs zero allocations and stops drawing at its first
+	// collision; only KGD survivors allocate their retained frequency
+	// and error vectors.
+	mu := cfg.Fab.Targets(dev)
 	dies, err := runner.MapLocal(ctx, size, cfg.Workers, runner.NewScratch(chip.N),
 		func(l runner.Scratch, i int) *Chiplet {
 			r := l.RNG.At(cfg.Seed, i)
-			cfg.Fab.SampleChipInto(r, chip, l.Buf)
-			if !checker.Free(l.Buf) {
+			if !checker.SampleFree(r, mu, cfg.Fab.Sigma, l.Buf) {
 				return nil
 			}
 			f := append([]float64(nil), l.Buf...)
 			errs := make([]float64, len(edges))
 			var sum float64
 			for j, e := range edges {
-				errs[j] = cfg.Det.Sample(r, f[e.U]-f[e.V])
+				errs[j] = cfg.Det.Sample(r.Rand(), f[e.U]-f[e.V])
 				sum += errs[j]
 			}
 			avg := 0.0

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 
+	"chipletqc/internal/runner"
 	"chipletqc/internal/topo"
 )
 
@@ -89,7 +90,21 @@ type Checker struct {
 	params Params
 	edges  []edgeInfo
 	pairs  []topo.ControlPair
+
+	// The same criteria filed for SampleFree under the qubit whose
+	// placement completes them, by the rule internal/sampling's
+	// importance proposal uses: types 1-4 at max(U, V), types 5-6 at
+	// max(T1, T2), type 7 at the triple's maximum. Qubit q's criteria
+	// are the slices between ends[q-1] and ends[q].
+	ends     []bucketEnd
+	qEdges   []edgeInfo
+	qTargets []topo.ControlPair // types 5-6, on the two targets
+	qTriple  []topo.ControlPair // type 7
 }
+
+// bucketEnd holds one qubit's cumulative end offsets into the Checker's
+// per-qubit criteria slices.
+type bucketEnd struct{ edges, targets, triples int32 }
 
 // NewChecker compiles a checker for device d under params p.
 func NewChecker(d *topo.Device, p Params) *Checker {
@@ -101,6 +116,38 @@ func NewChecker(d *topo.Device, p Params) *Checker {
 		})
 	}
 	c.pairs = d.ControlPairs()
+
+	// Count each qubit's criteria and turn the counts into bucket start
+	// offsets; filling a bucket then advances its start to its end.
+	c.ends = make([]bucketEnd, d.N)
+	for _, e := range c.edges {
+		c.ends[max(e.control, e.target)].edges++
+	}
+	for _, cp := range c.pairs {
+		c.ends[max(cp.T1, cp.T2)].targets++
+		c.ends[max(cp.Control, cp.T1, cp.T2)].triples++
+	}
+	var start bucketEnd
+	for q, n := range c.ends {
+		c.ends[q] = start
+		start = bucketEnd{start.edges + n.edges, start.targets + n.targets, start.triples + n.triples}
+	}
+	c.qEdges = make([]edgeInfo, len(c.edges))
+	c.qTargets = make([]topo.ControlPair, len(c.pairs))
+	c.qTriple = make([]topo.ControlPair, len(c.pairs))
+	for _, e := range c.edges {
+		b := &c.ends[max(e.control, e.target)]
+		c.qEdges[b.edges] = e
+		b.edges++
+	}
+	for _, cp := range c.pairs {
+		b := &c.ends[max(cp.T1, cp.T2)]
+		c.qTargets[b.targets] = cp
+		b.targets++
+		b = &c.ends[max(cp.Control, cp.T1, cp.T2)]
+		c.qTriple[b.triples] = cp
+		b.triples++
+	}
 	return c
 }
 
@@ -145,6 +192,53 @@ func (c *Checker) FreeInto(v *Violation, f []float64) bool {
 	return true
 }
 
+// SampleFree draws one fabricated device and reports whether it is
+// collision-free, returning at the first collision. Qubit q's frequency
+// is r.Normal(mu[q], sigma), drawn in index order into f (one entry per
+// device qubit); once it is placed, every criterion it completes is
+// checked. The outcome is always Free's on fab.Model.SampleInto's
+// frequencies from the same stream. On success f and r's position also
+// match, so later draws from r are unchanged; on a collision f is only
+// partly written and the rest of the trial's stream is left unread. It
+// allocates nothing.
+func (c *Checker) SampleFree(r *runner.TrialRNG, mu []float64, sigma float64, f []float64) bool {
+	n := len(c.ends)
+	if len(f) != n || len(mu) != n {
+		panic(fmt.Sprintf("collision: buffer length %d, means %d != device qubits %d", len(f), len(mu), n))
+	}
+	// The predicates are composed here rather than reached through
+	// edgeViolationType and pairViolationType, which are too large to
+	// inline: those calls cost a tenth of the trial.
+	p := &c.params
+	var lo bucketEnd
+	for q, hi := range c.ends {
+		f[q] = r.Normal(mu[q], sigma)
+		for _, e := range c.qEdges[lo.edges:hi.edges] {
+			fi, fj := f[e.control], f[e.target]
+			if !finite(fi) || !finite(fj) ||
+				type1(fi, fj, p) || type2(fi, fj, p) || type3(fi, fj, p) || type4(fi, fj, p) {
+				return false
+			}
+		}
+		for _, cp := range c.qTargets[lo.targets:hi.targets] {
+			fj, fk := f[cp.T1], f[cp.T2]
+			if !finite(fj) || !finite(fk) || type5(fj, fk, p) || type6(fj, fk, p) {
+				return false
+			}
+		}
+		// Both targets were checked finite with the pair's types 5-6, at
+		// this qubit or an earlier one.
+		for _, cp := range c.qTriple[lo.triples:hi.triples] {
+			fi := f[cp.Control]
+			if !finite(fi) || type7(fi, f[cp.T1], f[cp.T2], p) {
+				return false
+			}
+		}
+		lo = hi
+	}
+	return true
+}
+
 // Violations returns every triggered criterion for assignment f.
 func (c *Checker) Violations(f []float64) []Violation {
 	return c.ViolationsInto(nil, f)
@@ -171,26 +265,48 @@ func (c *Checker) ViolationsInto(dst []Violation, f []float64) []Violation {
 // hot path (NaN-NaN and Inf-Inf are NaN, which compares unequal to 0).
 func finite(f float64) bool { return f-f == 0 }
 
+// The Table I criteria, one predicate each, for finite control
+// frequency fi and target frequencies fj, fk. Every evaluator composes
+// these, so each formula is written once; all of them inline.
+
+func type1(fi, fj float64, p *Params) bool { return math.Abs(fi-fj) <= p.T1 }
+
+func type2(fi, fj float64, p *Params) bool { return math.Abs(fi+p.Anharmonicity/2-fj) <= p.T2 }
+
+func type3(fi, fj float64, p *Params) bool {
+	a := p.Anharmonicity
+	return math.Abs(fi-fj-a) <= p.T3 || math.Abs(fj-fi-a) <= p.T3
+}
+
+// type4: the target must lie strictly inside the straddling regime
+// (fi + a, fi); outside it the CR interaction fails.
+func type4(fi, fj float64, p *Params) bool { return fj < fi+p.Anharmonicity || fi < fj }
+
+func type5(fj, fk float64, p *Params) bool { return math.Abs(fj-fk) <= p.T5 }
+
+func type6(fj, fk float64, p *Params) bool {
+	a := p.Anharmonicity
+	return math.Abs(fj-fk-a) <= p.T6 || math.Abs(fj+a-fk) <= p.T6
+}
+
+func type7(fi, fj, fk float64, p *Params) bool {
+	return math.Abs(2*fi+p.Anharmonicity-fj-fk) <= p.T7
+}
+
 // edgeViolationType returns the first violated pairwise criterion
 // (1, 2, 3, or 4) for control frequency fi and target frequency fj,
 // NonFinite for NaN/Inf inputs, or 0.
 func edgeViolationType(fi, fj float64, p *Params) int {
-	if !finite(fi) || !finite(fj) {
+	switch {
+	case !finite(fi) || !finite(fj):
 		return NonFinite
-	}
-	a := p.Anharmonicity
-	if math.Abs(fi-fj) <= p.T1 {
+	case type1(fi, fj, p):
 		return 1
-	}
-	if math.Abs(fi+a/2-fj) <= p.T2 {
+	case type2(fi, fj, p):
 		return 2
-	}
-	if math.Abs(fi-fj-a) <= p.T3 || math.Abs(fj-fi-a) <= p.T3 {
+	case type3(fi, fj, p):
 		return 3
-	}
-	// Type 4: the target must lie strictly inside the straddling regime
-	// (fi + a, fi); outside it the CR interaction fails.
-	if fj < fi+a || fi < fj {
+	case type4(fi, fj, p):
 		return 4
 	}
 	return 0
@@ -200,17 +316,14 @@ func edgeViolationType(fi, fj float64, p *Params) int {
 // (5, 6, or 7) for control fi with targets fj, fk, NonFinite for
 // NaN/Inf inputs, or 0.
 func pairViolationType(fi, fj, fk float64, p *Params) int {
-	if !finite(fi) || !finite(fj) || !finite(fk) {
+	switch {
+	case !finite(fi) || !finite(fj) || !finite(fk):
 		return NonFinite
-	}
-	a := p.Anharmonicity
-	if math.Abs(fj-fk) <= p.T5 {
+	case type5(fj, fk, p):
 		return 5
-	}
-	if math.Abs(fj-fk-a) <= p.T6 || math.Abs(fj+a-fk) <= p.T6 {
+	case type6(fj, fk, p):
 		return 6
-	}
-	if math.Abs(2*fi+a-fj-fk) <= p.T7 {
+	case type7(fi, fj, fk, p):
 		return 7
 	}
 	return 0
@@ -220,18 +333,10 @@ func appendEdgeViolations(out []Violation, qi, qj int, fi, fj float64, p *Params
 	if !finite(fi) || !finite(fj) {
 		return append(out, Violation{Type: NonFinite, Control: qi, Target: qj, Target2: -1})
 	}
-	a := p.Anharmonicity
-	if math.Abs(fi-fj) <= p.T1 {
-		out = append(out, Violation{Type: 1, Control: qi, Target: qj, Target2: -1})
-	}
-	if math.Abs(fi+a/2-fj) <= p.T2 {
-		out = append(out, Violation{Type: 2, Control: qi, Target: qj, Target2: -1})
-	}
-	if math.Abs(fi-fj-a) <= p.T3 || math.Abs(fj-fi-a) <= p.T3 {
-		out = append(out, Violation{Type: 3, Control: qi, Target: qj, Target2: -1})
-	}
-	if fj < fi+a || fi < fj {
-		out = append(out, Violation{Type: 4, Control: qi, Target: qj, Target2: -1})
+	for t, hit := range [...]bool{type1(fi, fj, p), type2(fi, fj, p), type3(fi, fj, p), type4(fi, fj, p)} {
+		if hit {
+			out = append(out, Violation{Type: t + 1, Control: qi, Target: qj, Target2: -1})
+		}
 	}
 	return out
 }
@@ -240,15 +345,10 @@ func appendPairViolations(out []Violation, cp *topo.ControlPair, fi, fj, fk floa
 	if !finite(fi) || !finite(fj) || !finite(fk) {
 		return append(out, Violation{Type: NonFinite, Control: cp.Control, Target: cp.T1, Target2: cp.T2})
 	}
-	a := p.Anharmonicity
-	if math.Abs(fj-fk) <= p.T5 {
-		out = append(out, Violation{Type: 5, Control: cp.Control, Target: cp.T1, Target2: cp.T2})
-	}
-	if math.Abs(fj-fk-a) <= p.T6 || math.Abs(fj+a-fk) <= p.T6 {
-		out = append(out, Violation{Type: 6, Control: cp.Control, Target: cp.T1, Target2: cp.T2})
-	}
-	if math.Abs(2*fi+a-fj-fk) <= p.T7 {
-		out = append(out, Violation{Type: 7, Control: cp.Control, Target: cp.T1, Target2: cp.T2})
+	for t, hit := range [...]bool{type5(fj, fk, p), type6(fj, fk, p), type7(fi, fj, fk, p)} {
+		if hit {
+			out = append(out, Violation{Type: t + 5, Control: cp.Control, Target: cp.T1, Target2: cp.T2})
+		}
 	}
 	return out
 }

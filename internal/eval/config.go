@@ -250,19 +250,19 @@ func (c *Config) monoPopulation(ctx context.Context, spec topo.ChipSpec, batch i
 	det := c.det()
 	edges := dev.G.Edges()
 	campaign := c.Seed + seedOffset
+	mu := scn.Fab.Targets(dev)
 	samples, err := runner.MapLocal(ctx, batch, c.Workers,
 		runner.NewScratch(dev.N),
 		func(l runner.Scratch, i int) float64 {
 			r := l.RNG.At(campaign, i)
 			f := l.Buf
-			scn.Fab.SampleInto(r, dev, f)
-			if !checker.Free(f) {
+			if !checker.SampleFree(r, mu, scn.Fab.Sigma, f) {
 				return math.NaN() // collision: discarded by KGD testing
 			}
 			// E_avg for this device: mean sampled error over all couplings.
 			var sum float64
 			for _, e := range edges {
-				sum += det.Sample(r, f[e.U]-f[e.V])
+				sum += det.Sample(r.Rand(), f[e.U]-f[e.V])
 			}
 			if len(edges) == 0 {
 				return 0

@@ -305,6 +305,7 @@ func monoInstances(ctx context.Context, cfg Config, dev *topo.Device, want int, 
 	link := scn.Link
 	campaign := cfg.Seed + seedOffset
 	chunk := runner.Workers(cfg.Workers, cfg.MonoBatch) * 32
+	mu := scn.Fab.Targets(dev)
 
 	var out []noise.Assignment
 	for lo := 0; lo < cfg.MonoBatch && len(out) < want; lo += chunk {
@@ -316,11 +317,10 @@ func monoInstances(ctx context.Context, cfg Config, dev *topo.Device, want int, 
 			runner.NewScratch(dev.N),
 			func(l runner.Scratch, j int) *noise.Assignment {
 				r := l.RNG.At(campaign, lo+j)
-				scn.Fab.SampleInto(r, dev, l.Buf)
-				if !checker.Free(l.Buf) {
+				if !checker.SampleFree(r, mu, scn.Fab.Sigma, l.Buf) {
 					return nil
 				}
-				a := noise.Assign(r, dev, l.Buf, det, link)
+				a := noise.Assign(r.Rand(), dev, l.Buf, det, link)
 				return &a
 			})
 		if err != nil {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"chipletqc/internal/runner"
 	"chipletqc/internal/stats"
 	"chipletqc/internal/topo"
 )
@@ -58,36 +59,30 @@ func (m Model) Validate() error {
 // Sample draws a realised frequency assignment for device d.
 func (m Model) Sample(r *rand.Rand, d *topo.Device) []float64 {
 	f := make([]float64, d.N)
-	m.SampleInto(r, d, f)
+	for q := range f {
+		f[q] = stats.Normal(r, m.Plan.Target(d.Class[q]), m.Sigma)
+	}
 	return f
 }
 
-// SampleInto fills f (length d.N) with realised frequencies, avoiding
-// allocation in Monte Carlo loops. It panics if len(f) != d.N.
-func (m Model) SampleInto(r *rand.Rand, d *topo.Device, f []float64) {
+// SampleInto fills f (length d.N) with realised frequencies drawn from
+// r, avoiding allocation in Monte Carlo loops. It panics if
+// len(f) != d.N.
+func (m Model) SampleInto(r *runner.TrialRNG, d *topo.Device, f []float64) {
 	if len(f) != d.N {
 		panic(fmt.Sprintf("fab: buffer length %d != device qubits %d", len(f), d.N))
 	}
 	for q := 0; q < d.N; q++ {
-		f[q] = stats.Normal(r, m.Plan.Target(d.Class[q]), m.Sigma)
+		f[q] = r.Normal(m.Plan.Target(d.Class[q]), m.Sigma)
 	}
 }
 
-// SampleChip draws a realised frequency assignment for a bare chip (used
-// by chiplet fabrication batches before MCM assembly).
-func (m Model) SampleChip(r *rand.Rand, c *topo.Chip) []float64 {
-	f := make([]float64, c.N)
-	m.SampleChipInto(r, c, f)
-	return f
-}
-
-// SampleChipInto fills f (length c.N) with realised chip frequencies,
-// avoiding allocation in fabrication loops. It panics if len(f) != c.N.
-func (m Model) SampleChipInto(r *rand.Rand, c *topo.Chip, f []float64) {
-	if len(f) != c.N {
-		panic(fmt.Sprintf("fab: buffer length %d != chip qubits %d", len(f), c.N))
+// Targets returns every qubit's ideal plan frequency, the means the
+// Monte Carlo loops hoist once per device.
+func (m Model) Targets(d *topo.Device) []float64 {
+	mu := make([]float64, d.N)
+	for q := range mu {
+		mu[q] = m.Plan.Target(d.Class[q])
 	}
-	for q := 0; q < c.N; q++ {
-		f[q] = stats.Normal(r, m.Plan.Target(c.Class[q]), m.Sigma)
-	}
+	return mu
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"chipletqc/internal/runner"
 	"chipletqc/internal/stats"
 	"chipletqc/internal/topo"
 )
@@ -65,21 +66,25 @@ func TestSampleIntoPanicsOnBadLength(t *testing.T) {
 			t.Error("expected panic on wrong buffer length")
 		}
 	}()
-	DefaultModel().SampleInto(rand.New(rand.NewSource(1)), d, make([]float64, 3))
+	DefaultModel().SampleInto(runner.NewTrialRNG(), d, make([]float64, 3))
 }
 
-func TestSampleChipMatchesDeviceSampling(t *testing.T) {
-	// SampleChip on a chip and Sample on the equivalent monolithic device
-	// draw from identical distributions (same seed, same sequence).
-	spec := topo.ChipSpec{DenseRows: 2, Width: 8}
-	chip := topo.BuildChip(spec)
-	dev := topo.MonolithicDevice(spec)
-	m := DefaultModel()
-	fc := m.SampleChip(rand.New(rand.NewSource(42)), chip)
-	fd := m.Sample(rand.New(rand.NewSource(42)), dev)
-	for q := range fc {
-		if fc[q] != fd[q] {
-			t.Fatalf("qubit %d: chip %v != device %v", q, fc[q], fd[q])
+func TestSampleIntoMatchesSample(t *testing.T) {
+	// SampleInto on a TrialRNG and Sample on the *rand.Rand of the same
+	// (seed, trial) stream draw identical frequencies, zero sigma included.
+	d := topo.MonolithicDevice(topo.ChipSpec{DenseRows: 2, Width: 8})
+	rng := runner.NewTrialRNG()
+	f := make([]float64, d.N)
+	for _, sigma := range []float64{0, SigmaScalingGoal, SigmaAsFabricated} {
+		m := Model{Plan: topo.DefaultFreqPlan, Sigma: sigma}
+		for i := 0; i < 20; i++ {
+			m.SampleInto(rng.At(42, i), d, f)
+			want := m.Sample(runner.Rand(42, i), d)
+			for q := range f {
+				if f[q] != want[q] {
+					t.Fatalf("sigma %g trial %d qubit %d: SampleInto %v != Sample %v", sigma, i, q, f[q], want[q])
+				}
+			}
 		}
 	}
 }

@@ -92,7 +92,7 @@ func TestLaserTuningRestoresYield(t *testing.T) {
 	rawFree, tunedFree := 0, 0
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < batch; i++ {
-		raw.SampleInto(r, d, f)
+		copy(f, raw.Sample(r, d))
 		if checker.Free(f) {
 			rawFree++
 		}

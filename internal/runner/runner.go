@@ -207,64 +207,6 @@ func MapLocal[L, T any](ctx context.Context, n, workers int, newLocal func() L, 
 	return out, nil
 }
 
-// CountLocal runs pred over [0, n) with per-worker local scratch state
-// (for hot Monte Carlo loops that reuse a sample buffer across trials)
-// and returns how many trials reported true.
-func CountLocal[L any](ctx context.Context, n, workers int, newLocal func() L, pred func(l L, i int) bool) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if n <= 0 {
-		return 0, nil
-	}
-	cancelled, stopWatch := watchCancel(ctx)
-	defer stopWatch()
-	workers = Workers(workers, n)
-	if workers == 1 {
-		l := newLocal()
-		total := 0
-		for i := 0; i < n; i++ {
-			if cancelled() {
-				return 0, ctx.Err()
-			}
-			if pred(l, i) {
-				total++
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		return total, nil
-	}
-	var total atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l := newLocal()
-			count := 0
-			for !cancelled() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					break
-				}
-				if pred(l, i) {
-					count++
-				}
-			}
-			total.Add(int64(count))
-		}()
-	}
-	wg.Wait()
-	// ctx.Err(), not the async flag — see MapLocal.
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return int(total.Load()), nil
-}
-
 // MapErr is Map for fallible trials with cooperative cancellation: once
 // the context is done or any trial fails, workers stop claiming new
 // indices. The error of the lowest failing index wins, so the outcome is

@@ -109,23 +109,6 @@ func TestMapLocalAllocatesPerWorker(t *testing.T) {
 	}
 }
 
-func TestCountLocalMatchesSerial(t *testing.T) {
-	pred := func(_ struct{}, i int) bool { return Rand(7, i).Float64() < 0.3 }
-	local := func() struct{} { return struct{}{} }
-	want, err := CountLocal(bg, 2000, 1, local, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		if got, err := CountLocal(bg, 2000, workers, local, pred); err != nil || got != want {
-			t.Errorf("workers=%d: count %d (err %v), want %d", workers, got, err, want)
-		}
-	}
-	if got, err := CountLocal(bg, 0, 4, local, pred); err != nil || got != 0 {
-		t.Error("empty count should be 0 with no error")
-	}
-}
-
 func TestSplitKeepsTotalNearBudget(t *testing.T) {
 	cases := []struct {
 		workers, n int
@@ -208,10 +191,6 @@ func TestPreCancelledContextShortCircuits(t *testing.T) {
 
 	if _, err := MapLocal(ctx, 100, 4, noLocal, trial); !errors.Is(err, context.Canceled) {
 		t.Errorf("MapLocal err = %v, want context.Canceled", err)
-	}
-	if _, err := CountLocal(ctx, 100, 4, noLocal,
-		func(_ struct{}, i int) bool { ran.Add(1); return true }); !errors.Is(err, context.Canceled) {
-		t.Errorf("CountLocal err = %v, want context.Canceled", err)
 	}
 	if _, err := Stream(ctx, 100, 4, nil, noLocal, trial, func(int, int) {},
 		func(int) bool { return false }); !errors.Is(err, context.Canceled) {

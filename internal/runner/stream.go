@@ -2,19 +2,25 @@ package runner
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 )
 
-// TrialRNG is a reusable per-worker trial RNG: Seek repositions it onto
+// TrialRNG is a reusable per-worker trial RNG: At repositions it onto
 // trial i's private (seed, i)-derived SplitMix64 stream without
-// allocating, producing draws bit-identical to Rand(seed, i). Workers
-// keep one TrialRNG in their local scratch so the Monte Carlo hot path
-// stops paying one rand.Rand allocation per trial.
+// allocating. Its NormFloat64 and Float64 are exact copies of math/rand
+// v1's, reading the SplitMix64 state directly instead of through the
+// rand.Source interface, so every draw is bit-identical to the same
+// call on Rand(seed, i); Rand exposes a *rand.Rand on the same state
+// for code that takes one. Workers keep one TrialRNG in their local
+// scratch so the Monte Carlo hot path allocates nothing per trial.
 type TrialRNG struct {
 	src splitmix
 	r   *rand.Rand
+	// Pad to 128 B so no two workers' SplitMix states share a cache line.
+	_ [112]byte
 }
 
 // NewTrialRNG returns a reusable trial RNG (two allocations, paid once
@@ -25,11 +31,78 @@ func NewTrialRNG() *TrialRNG {
 	return t
 }
 
-// At repositions the RNG onto trial i's stream and returns it. The
-// returned *rand.Rand is valid until the next At call.
-func (t *TrialRNG) At(seed int64, i int) *rand.Rand {
+// At repositions the RNG onto trial i's stream and returns it.
+func (t *TrialRNG) At(seed int64, i int) *TrialRNG {
 	t.src.state = uint64(Seed(seed, i))
-	return t.r
+	return t
+}
+
+// Rand returns a *rand.Rand drawing from the same stream position:
+// draws through it and through t interleave as one sequence.
+func (t *TrialRNG) Rand() *rand.Rand { return t.r }
+
+// Float64 returns rand.Rand.Float64's draw on this stream: a uniform
+// value in [0, 1).
+func (t *TrialRNG) Float64() float64 {
+	for {
+		// An Int63 that rounds up to 1 is redrawn, as math/rand does.
+		if f := float64(t.src.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// NormFloat64 returns rand.Rand.NormFloat64's draw on this stream: a
+// standard normal variate from the Marsaglia-Tsang ziggurat. Over 99%
+// of draws take the one-comparison fast path here; the rest finish in
+// normSlow.
+func (t *TrialRNG) NormFloat64() float64 {
+	// rand.Rand.Uint32 is Int63() >> 31: the top 32 bits of the output.
+	j := int32(t.src.Uint64() >> 32)
+	i := j & 0x7F
+	if absInt32(j) < kn[i] {
+		return float64(j) * float64(wn[i])
+	}
+	return t.normSlow(j)
+}
+
+// normSlow finishes a NormFloat64 draw whose sample j missed its
+// ziggurat rectangle: the base strip's tail or a wedge test, then the
+// full loop on fresh samples, exactly as math/rand runs it.
+func (t *TrialRNG) normSlow(j int32) float64 {
+	for {
+		i := j & 0x7F
+		x := float64(j) * float64(wn[i])
+		if absInt32(j) < kn[i] {
+			return x
+		}
+		if i == 0 {
+			for {
+				x = -math.Log(t.Float64()) * (1.0 / rn)
+				y := -math.Log(t.Float64())
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return rn + x
+			}
+			return -rn - x
+		}
+		if fn[i]+float32(t.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+			return x
+		}
+		j = int32(t.src.Uint64() >> 32)
+	}
+}
+
+// Normal is stats.Normal on this stream: mu when sigma is 0, with no
+// draw, else mu + sigma*NormFloat64().
+func (t *TrialRNG) Normal(mu, sigma float64) float64 {
+	if sigma == 0 {
+		return mu
+	}
+	return mu + sigma*t.NormFloat64()
 }
 
 // Scratch is the standard per-worker Monte Carlo scratch state: a
@@ -40,9 +113,8 @@ type Scratch struct {
 	Buf []float64
 }
 
-// NewScratch returns a newLocal constructor for MapLocal/CountLocal/
-// Stream that equips each worker with a TrialRNG and an n-element
-// buffer.
+// NewScratch returns a newLocal constructor for MapLocal and Stream
+// that equips each worker with a TrialRNG and an n-element buffer.
 func NewScratch(n int) func() Scratch {
 	return func() Scratch {
 		return Scratch{RNG: NewTrialRNG(), Buf: make([]float64, n)}
@@ -73,7 +145,7 @@ func Checkpoints(min, max int) []int {
 // whether the campaign can end early. It returns the number of trials
 // executed.
 //
-// The determinism contract extends CountLocal's: trial i's result must
+// The determinism contract extends MapLocal's: trial i's result must
 // depend only on i (locals are scratch), blocks always run to their
 // checkpoint before any stop decision, and observe sees results in
 // index order — so the executed trial count and every aggregate are

@@ -1,8 +1,11 @@
 package runner
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 func TestCheckpoints(t *testing.T) {
@@ -27,17 +30,60 @@ func TestCheckpoints(t *testing.T) {
 	}
 }
 
+// TestTrialRNGMatchesRand pins TrialRNG's copy of the ziggurat and Float64
+// to math/rand v1 on the same SplitMix64 stream: 10^6 interleaved draws
+// over a thousand (seed, trial) streams must agree bit for bit, with
+// the ziggurat's base-strip tail and wedge branches each exercised.
 func TestTrialRNGMatchesRand(t *testing.T) {
 	rng := NewTrialRNG()
-	for _, i := range []int{0, 1, 7, 1000} {
-		want := Rand(42, i)
-		got := rng.At(42, i)
-		for k := 0; k < 5; k++ {
-			w, g := want.Float64(), got.Float64()
-			if w != g {
-				t.Fatalf("trial %d draw %d: TrialRNG %v != Rand %v", i, k, g, w)
+	tails, wedges := 0, 0
+	for i := 0; i < 1000; i++ {
+		seed := int64(i%10) * 7919
+		want := rand.New(&splitmix{state: uint64(Seed(seed, i))})
+		got := rng.At(seed, i)
+		for k := 0; k < 1000; k++ {
+			var w, g float64
+			if k%8 == 7 {
+				w, g = want.Float64(), got.Float64()
+			} else {
+				peek := got.src
+				j := int32(peek.Uint64() >> 32)
+				if s := j & 0x7F; absInt32(j) >= kn[s] {
+					if s == 0 {
+						tails++
+					} else {
+						wedges++
+					}
+				}
+				w, g = want.NormFloat64(), got.NormFloat64()
+			}
+			if math.Float64bits(w) != math.Float64bits(g) {
+				t.Fatalf("seed %d trial %d draw %d: TrialRNG %v != math/rand %v", seed, i, k, g, w)
 			}
 		}
+		// The rand.Rand view continues the same stream.
+		if w, g := want.Int63(), got.Rand().Int63(); w != g {
+			t.Fatalf("trial %d: Rand() view %d != math/rand %d", i, g, w)
+		}
+	}
+	if tails == 0 || wedges == 0 {
+		t.Errorf("ziggurat branches unexercised: %d tail, %d wedge draws", tails, wedges)
+	}
+}
+
+func TestTrialRNGNormalZeroSigmaDrawsNothing(t *testing.T) {
+	rng := NewTrialRNG().At(3, 4)
+	if got := rng.Normal(5.25, 0); got != 5.25 {
+		t.Errorf("Normal(5.25, 0) = %v", got)
+	}
+	if got, want := rng.Float64(), Rand(3, 4).Float64(); got != want {
+		t.Errorf("Normal with sigma 0 advanced the stream: next draw %v, want %v", got, want)
+	}
+}
+
+func TestTrialRNGOwnsItsCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(TrialRNG{}); n != 128 {
+		t.Errorf("TrialRNG is %d B, want 128", n)
 	}
 }
 

@@ -1,11 +1,11 @@
 package sampling
 
 import (
-	"math/rand"
 	"testing"
 
 	"chipletqc/internal/collision"
 	"chipletqc/internal/fab"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/topo"
 )
 
@@ -55,7 +55,7 @@ func BenchmarkImportanceSampleInto(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(1))
+	r := runner.NewTrialRNG().At(1, 0)
 	buf := make([]float64, d.N)
 	sink := 0.0
 	b.ReportAllocs()
@@ -72,7 +72,7 @@ func BenchmarkStratifiedSampleInto(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(1))
+	r := runner.NewTrialRNG().At(1, 0)
 	buf := make([]float64, d.N)
 	sink := 0.0
 	b.ReportAllocs()
@@ -89,7 +89,7 @@ func BenchmarkPlainSampleInto(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(1))
+	r := runner.NewTrialRNG().At(1, 0)
 	buf := make([]float64, d.N)
 	sink := 0.0
 	b.ReportAllocs()

@@ -2,12 +2,12 @@ package sampling
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"chipletqc/internal/collision"
 	"chipletqc/internal/fab"
 	"chipletqc/internal/graph"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/topo"
 )
 
@@ -66,7 +66,7 @@ func TestImportanceBandLimit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-limit star rejected: %v", err)
 	}
-	r := rand.New(rand.NewSource(3))
+	r := runner.NewTrialRNG().At(3, 0)
 	buf := make([]float64, ok.N)
 	for i := 0; i < 50; i++ {
 		est.SampleInto(r, i, buf)
@@ -74,8 +74,9 @@ func TestImportanceBandLimit(t *testing.T) {
 }
 
 // TestSampleIntoAllocationFree pins the per-trial allocation contract
-// for every estimator: the hot path must not touch the heap, or the
-// engine's trials/sec collapses under GC pressure at campaign scale.
+// for every estimator and for the inline path's fused trial: the hot
+// path must not touch the heap, or the engine's trials/sec collapses
+// under GC pressure at campaign scale.
 func TestSampleIntoAllocationFree(t *testing.T) {
 	d := topo.MonolithicDevice(topo.MonolithicSpec(100))
 	m := fab.DefaultModel()
@@ -85,7 +86,7 @@ func TestSampleIntoAllocationFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := rand.New(rand.NewSource(5))
+		r := runner.NewTrialRNG().At(5, 0)
 		buf := make([]float64, d.N)
 		est.PlanBlock(0, 4096)
 		i := 0
@@ -96,5 +97,17 @@ func TestSampleIntoAllocationFree(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("%s: SampleInto allocates %.1f per trial, want 0", spec.Method, avg)
 		}
+	}
+	// The engine's inline path: the fused draw-and-check trial.
+	c := collision.NewChecker(d, p)
+	mu := m.Targets(d)
+	rng := runner.NewTrialRNG()
+	buf := make([]float64, d.N)
+	i := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		c.SampleFree(rng.At(5, i), mu, m.Sigma, buf)
+		i++
+	}); avg != 0 {
+		t.Errorf("Checker.SampleFree allocates %.1f per trial, want 0", avg)
 	}
 }

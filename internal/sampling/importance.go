@@ -3,10 +3,10 @@ package sampling
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"chipletqc/internal/collision"
 	"chipletqc/internal/fab"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/stats"
 	"chipletqc/internal/topo"
 )
@@ -143,10 +143,7 @@ func newImportance(c Spec, d *topo.Device, m fab.Model, p collision.Params) (*im
 		m:      m,
 		minESS: c.MinESS,
 		tab:    gaussTab,
-		mu:     make([]float64, d.N),
-	}
-	for q := 0; q < d.N; q++ {
-		e.mu[q] = m.Plan.Target(d.Class[q])
+		mu:     m.Targets(d),
 	}
 	edges := d.G.Edges()
 	cps := d.ControlPairs()
@@ -275,7 +272,7 @@ func (e *importance) FreeByConstruction() bool { return true }
 
 func (e *importance) PlanBlock(lo, hi int) {}
 
-func (e *importance) SampleInto(r *rand.Rand, i int, buf []float64) float64 {
+func (e *importance) SampleInto(r *runner.TrialRNG, i int, buf []float64) float64 {
 	var starts, ends [maxSeqBands]float64
 	var pLo, pHi, pMass [maxSeqBands + 1]float64
 	tab := e.tab

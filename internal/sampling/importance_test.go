@@ -7,6 +7,7 @@ import (
 
 	"chipletqc/internal/collision"
 	"chipletqc/internal/fab"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/topo"
 )
 
@@ -104,7 +105,7 @@ func TestSequentialSamplesAreCollisionFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := est.(*importance)
-	r2 := rand.New(rand.NewSource(77))
+	r2 := runner.NewTrialRNG().At(77, 0)
 	const nSeq = 50000
 	for i := 0; i < nSeq; i++ {
 		logw := e.SampleInto(r2, i, buf)
@@ -205,7 +206,7 @@ func FuzzEstimatorWeightsFinite(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := rand.New(rand.NewSource(seed))
+			r := runner.NewTrialRNG().At(seed, 0)
 			buf := make([]float64, d.N)
 			const n = 200
 			est.PlanBlock(0, n)

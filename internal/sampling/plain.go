@@ -1,9 +1,8 @@
 package sampling
 
 import (
-	"math/rand"
-
 	"chipletqc/internal/fab"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/stats"
 	"chipletqc/internal/topo"
 )
@@ -26,7 +25,7 @@ func (e *plain) Name() string { return Plain }
 
 func (e *plain) PlanBlock(lo, hi int) {}
 
-func (e *plain) SampleInto(r *rand.Rand, i int, buf []float64) float64 {
+func (e *plain) SampleInto(r *runner.TrialRNG, i int, buf []float64) float64 {
 	e.m.SampleInto(r, e.d, buf)
 	return 0
 }

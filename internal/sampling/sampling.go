@@ -33,10 +33,10 @@ package sampling
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"chipletqc/internal/collision"
 	"chipletqc/internal/fab"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/topo"
 )
 
@@ -254,7 +254,7 @@ type Estimator interface {
 	// SampleInto fills buf (device-qubit length) with trial i's realised
 	// frequencies from r, which is positioned on trial i's private
 	// stream, and returns the trial's log likelihood ratio.
-	SampleInto(r *rand.Rand, i int, buf []float64) float64
+	SampleInto(r *runner.TrialRNG, i int, buf []float64) float64
 	// Observe folds trial i's outcome; called in index order.
 	Observe(i int, ok bool, logw float64)
 	// HalfWidth returns the current CI half-width at quantile z, or +Inf

@@ -2,9 +2,9 @@ package sampling
 
 import (
 	"math"
-	"math/rand"
 
 	"chipletqc/internal/fab"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/stats"
 	"chipletqc/internal/topo"
 )
@@ -109,12 +109,9 @@ func newStratified(c Spec, d *topo.Device, m fab.Model) *stratified {
 		mass:       make([]float64, c.Strata),
 		logW:       make([]float64, c.Strata),
 		massW:      make([]float64, c.Strata),
-		mu:         make([]float64, d.N),
+		mu:         m.Targets(d),
 		seedQ:      make([]float64, c.Strata*(stratSeedN+1)),
 		perStratum: make([]stats.Welford, c.Strata),
-	}
-	for q := 0; q < d.N; q++ {
-		e.mu[q] = m.Plan.Target(d.Class[q])
 	}
 	warp := 1 / (c.Tilt * c.Tilt)
 	for s := 0; s <= c.Strata; s++ {
@@ -215,7 +212,7 @@ func (e *stratified) stratumOf(i int) int {
 	return e.alloc.stratumOf(i)
 }
 
-func (e *stratified) SampleInto(r *rand.Rand, i int, buf []float64) float64 {
+func (e *stratified) SampleInto(r *runner.TrialRNG, i int, buf []float64) float64 {
 	s := e.stratumOf(i)
 	// Squared differential radius: inverse-CDF draw from the target
 	// chi-square law conditioned on stratum s's slice. Clamp uu off the

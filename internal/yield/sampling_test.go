@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chipletqc/internal/collision"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/sampling"
 	"chipletqc/internal/topo"
 )
@@ -89,6 +90,9 @@ func TestEstimatorsAgreeOnMidYield(t *testing.T) {
 		ra := results[a]
 		t.Logf("%-11s yield=%.5g ci=[%.5g, %.5g] ess=%.0f trials=%d",
 			a, ra.Fraction(), ra.CILo, ra.CIHi, ra.ESS, ra.Batch)
+		if ra.AuditFailures != 0 {
+			t.Errorf("%s: %d audit failures, want 0", a, ra.AuditFailures)
+		}
 		if ra.Fraction() < ra.CILo || ra.Fraction() > ra.CIHi {
 			t.Errorf("%s: point estimate %v outside its own CI [%v, %v]",
 				a, ra.Fraction(), ra.CILo, ra.CIHi)
@@ -161,5 +165,56 @@ func TestResolveSamplingMethod(t *testing.T) {
 	}
 	if got := ResolveSamplingMethod(scenario, sampling.Stratified); got.Method != sampling.Stratified {
 		t.Errorf("method override should replace the spec, got %+v", got)
+	}
+}
+
+// constructedStub is a plain estimator that claims its samples are
+// collision-free by construction but hands trial bad a colliding
+// device (every qubit on one frequency); the other trials get the
+// collision-free plan targets.
+type constructedStub struct {
+	sampling.Estimator
+	mu  []float64
+	bad int
+}
+
+func (constructedStub) FreeByConstruction() bool { return true }
+
+func (e constructedStub) SampleInto(_ *runner.TrialRNG, i int, buf []float64) float64 {
+	copy(buf, e.mu)
+	if i == e.bad {
+		for q := range buf {
+			buf[q] = e.mu[0]
+		}
+	}
+	return 0
+}
+
+// TestAuditFailureIsCounted: a construction-free estimator whose sample
+// fails the engine's audit must surface in Result.AuditFailures, not
+// only as an ordinary failed trial.
+func TestAuditFailureIsCounted(t *testing.T) {
+	d := topo.MonolithicDevice(topo.MonolithicSpec(12))
+	cfg := testConfig()
+	cfg.Batch = 500
+	checker := collision.NewChecker(d, cfg.Params)
+	mu := cfg.Model.Targets(d)
+	if !checker.Free(mu) {
+		t.Fatal("plan targets collide; the stub needs a collision-free default sample")
+	}
+	plain, err := sampling.New(sampling.Spec{Method: sampling.Plain}, d, cfg.Model, cfg.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := constructedStub{Estimator: plain, mu: mu, bad: 137}
+	res, err := simulateEstimated(context.Background(), d, cfg, checker, est, cfg.Batch, false, func(int) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AuditFailures != 1 {
+		t.Errorf("audit failures = %d, want 1", res.AuditFailures)
+	}
+	if res.Batch != cfg.Batch || res.Free != cfg.Batch-1 {
+		t.Errorf("free %d of %d trials, want %d of %d", res.Free, res.Batch, cfg.Batch-1, cfg.Batch)
 	}
 }

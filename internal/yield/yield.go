@@ -154,6 +154,13 @@ type Result struct {
 	Estimator string
 	Yield     float64
 	ESS       float64
+
+	// AuditFailures counts the sampled audit trials whose frequencies
+	// an estimator declared collision-free by construction but the
+	// engine's independent checker rejected: a proposal construction
+	// bug. Such trials count as failures too. It is telemetry, kept out
+	// of every fingerprint and rendering, and is 0 on a healthy run.
+	AuditFailures int `json:"-"`
 }
 
 // Fraction returns the collision-free yield in [0, 1]: the estimator's
@@ -202,16 +209,21 @@ func Simulate(ctx context.Context, d *topo.Device, cfg Config) (Result, error) {
 		}
 	}
 	if !cfg.Sampling.IsZero() {
-		return simulateEstimated(ctx, d, cfg, checker, max, adaptive, emit)
+		est, err := sampling.New(cfg.Sampling, d, cfg.Model, cfg.Params)
+		if err != nil {
+			return Result{}, err
+		}
+		return simulateEstimated(ctx, d, cfg, checker, est, max, adaptive, emit)
 	}
+	// Each trial draws its device qubit by qubit and stops at the first
+	// collision; the outcome is that of drawing every qubit and then
+	// checking (see collision.Checker.SampleFree).
+	mu := cfg.Model.Targets(d)
 	trial := func(l runner.Scratch, i int) bool {
-		r := l.RNG.At(cfg.Seed, i)
-		cfg.Model.SampleInto(r, d, l.Buf)
-		return checker.Free(l.Buf)
+		return checker.SampleFree(l.RNG.At(cfg.Seed, i), mu, cfg.Model.Sigma, l.Buf)
 	}
 	// Both modes run through the checkpointed stream: the fixed mode's
-	// stop is constant-false, so its executed trials and counted
-	// successes are bit-identical to the historical CountLocal path,
+	// stop is constant-false, so it counts every trial of the batch,
 	// while still getting checkpoint-granular progress reporting.
 	var p stats.Proportion
 	stop := func(int) bool { return false }
@@ -252,14 +264,16 @@ const auditEvery = 64
 // auditPeriod resolves the audit period for one estimator: 1 (check
 // every trial) unless the estimator declares itself free by
 // construction, and always 1 under `go test` or the race detector.
-func auditPeriod(est sampling.Estimator) int {
+// constructed reports that declaration: only then is a checker
+// rejection an audit failure rather than an ordinary collision.
+func auditPeriod(est sampling.Estimator) (period int, constructed bool) {
 	if f, ok := est.(freeByConstruction); ok && f.FreeByConstruction() {
 		if testing.Testing() || race.Enabled {
-			return 1
+			return 1, true
 		}
-		return auditEvery
+		return auditEvery, true
 	}
-	return 1
+	return 1, false
 }
 
 // simulateEstimated is Simulate's pluggable-estimator path: trials carry
@@ -270,29 +284,26 @@ func auditPeriod(est sampling.Estimator) int {
 // the inline path because block planning and observation both happen on
 // the coordinating goroutine at the fixed checkpoint grid.
 func simulateEstimated(ctx context.Context, d *topo.Device, cfg Config,
-	checker *collision.Checker, max int, adaptive bool, emit func(int)) (Result, error) {
-	est, err := sampling.New(cfg.Sampling, d, cfg.Model, cfg.Params)
-	if err != nil {
-		return Result{}, err
-	}
-	audit := auditPeriod(est)
+	checker *collision.Checker, est sampling.Estimator, max int, adaptive bool, emit func(int)) (Result, error) {
+	audit, constructed := auditPeriod(est)
 	type outcome struct {
-		ok   bool
-		logw float64
+		ok, auditFailed bool
+		logw            float64
 	}
 	trial := func(l runner.Scratch, i int) outcome {
-		r := l.RNG.At(cfg.Seed, i)
-		logw := est.SampleInto(r, i, l.Buf)
+		logw := est.SampleInto(l.RNG.At(cfg.Seed, i), i, l.Buf)
 		// A dead end (-Inf weight) is a failure regardless; otherwise a
 		// construction-free sample passes unless its audit trial says no.
 		// The audit depends only on the trial index, preserving
 		// worker-count invariance.
-		ok := !math.IsInf(logw, -1)
-		if ok && (audit == 1 || i%audit == 0) {
-			ok = checker.Free(l.Buf)
+		o := outcome{ok: !math.IsInf(logw, -1), logw: logw}
+		if o.ok && (audit == 1 || i%audit == 0) {
+			o.ok = checker.Free(l.Buf)
+			o.auditFailed = constructed && !o.ok
 		}
-		return outcome{ok: ok, logw: logw}
+		return o
 	}
+	auditFailures := 0
 	stop := func(int) bool { return false }
 	if adaptive {
 		stop = func(int) bool {
@@ -311,7 +322,12 @@ func simulateEstimated(ctx context.Context, d *topo.Device, cfg Config,
 	trials, err := runner.StreamPlanned(ctx, max, cfg.Workers,
 		runner.Checkpoints(adaptiveMinTrials, max), runner.NewScratch(d.N),
 		est.PlanBlock, trial,
-		func(i int, o outcome) { est.Observe(i, o.ok, o.logw) },
+		func(i int, o outcome) {
+			est.Observe(i, o.ok, o.logw)
+			if o.auditFailed {
+				auditFailures++
+			}
+		},
 		func(done int) bool { emit(done); return stop(done) })
 	if err != nil {
 		return Result{}, err
@@ -323,6 +339,7 @@ func simulateEstimated(ctx context.Context, d *topo.Device, cfg Config,
 		Batch: e.Trials, Free: e.Successes,
 		CILo: e.CILo, CIHi: e.CIHi,
 		Estimator: e.Estimator, Yield: e.Yield, ESS: e.ESS,
+		AuditFailures: auditFailures,
 	}, nil
 }
 
