@@ -218,11 +218,11 @@ type YieldOptions struct {
 	// inherits the scenario's trial policy; Ptr(0.0) disables the
 	// relative target.
 	RelPrecision *float64
-	// Sampling selects the yield estimator by method name: "plain",
-	// "stratified", or "importance" (rare-event estimators with
-	// likelihood-ratio reweighting; see the README's rare-event sampling
-	// section). "" inherits the scenario's trial policy; "none" forces
-	// the historical inline counting path.
+	// Sampling selects the yield estimator by method name: "plain" or
+	// "importance" (the rare-event estimator with likelihood-ratio
+	// reweighting; see the README's rare-event sampling section). ""
+	// inherits the scenario's trial policy; "none" forces unlabelled
+	// plain counting.
 	Sampling string
 	// Progress, when non-nil, receives per-checkpoint trial counts.
 	Progress func(ProgressEvent)
@@ -249,9 +249,9 @@ func (o YieldOptions) Validate() error {
 		return fmt.Errorf("chipletqc: YieldOptions.RelPrecision %g is negative", *o.RelPrecision)
 	}
 	switch o.Sampling {
-	case "", "none", "off", sampling.Plain, sampling.Stratified, sampling.Importance:
+	case "", "none", "off", sampling.Plain, sampling.Importance:
 	default:
-		return fmt.Errorf("chipletqc: YieldOptions.Sampling %q unknown (want plain, stratified, importance, or none)", o.Sampling)
+		return fmt.Errorf("chipletqc: YieldOptions.Sampling %q unknown (want plain, importance, or none)", o.Sampling)
 	}
 	return nil
 }

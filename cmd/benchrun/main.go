@@ -82,7 +82,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		precision = fs.Float64("precision", 0, "adaptive mode: stop yield simulations once their 95% CI half-width reaches this (0 = the scenario's policy; negative forces fixed batch)")
 		maxTrials = fs.Int("maxtrials", 0, "adaptive mode trial budget per simulation (0 = the scenario's policy, then batch size; negative resets)")
 		relPrec   = fs.Float64("relprecision", 0, "adaptive mode relative target: stop once the CI half-width reaches this fraction of the yield (0 = the scenario's policy; negative disables)")
-		smpl      = fs.String("sampling", "", "yield estimator: plain, stratified, or importance (\"\" = the scenario's policy; none = historical inline path)")
+		smpl      = fs.String("sampling", "", "yield estimator: plain or importance (\"\" = the scenario's policy; none = unlabelled plain counting)")
 		perf      = fs.Bool("perf", false, "run the yield hot-path micro-benchmark and write a machine-readable perf record")
 		perfOut   = fs.String("perfout", "BENCH_yield.json", "perf record output path for -perf")
 		perfCheck = fs.String("perfcheck", "", "compare a fresh micro-benchmark against this committed baseline record; exit non-zero on regression")
@@ -229,8 +229,8 @@ type perfRecord struct {
 }
 
 // measurePerf micro-benchmarks yield.Simulate on a 100-qubit device in
-// fixed-batch, adaptive (1% precision), stratified, and
-// importance-sampled (rare-event estimators, same fixed budget) modes,
+// fixed-batch, adaptive (1% precision), and importance-sampled
+// (rare-event estimator, same fixed budget) modes,
 // plus one end-to-end wall-time record of the tight-thresholds
 // rare-event scenario (adaptive stop at 20% relative precision on a
 // 24-qubit device). The records carry the scenario name so the CI perf
@@ -291,8 +291,6 @@ func measurePerf(ctx context.Context, scn scenario.Scenario, batch, workers int,
 
 	adaptive := base
 	adaptive.Precision = 0.01
-	stratifiedCfg := base
-	stratifiedCfg.Sampling = sampling.Spec{Method: sampling.Stratified}
 	importanceCfg := base
 	importanceCfg.Sampling = sampling.Spec{Method: sampling.Importance}
 	var records []perfRecord
@@ -302,7 +300,6 @@ func measurePerf(ctx context.Context, scn scenario.Scenario, batch, workers int,
 	}{
 		{"yield_simulate_fixed", base},
 		{"yield_simulate_adaptive_1pct", adaptive},
-		{"yield_simulate_stratified", stratifiedCfg},
 		{"yield_simulate_importance", importanceCfg},
 	} {
 		rec, err := measure(m.name, scn.Name, d, m.cfg)

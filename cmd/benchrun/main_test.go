@@ -50,12 +50,11 @@ func TestRunPerfWritesRecord(t *testing.T) {
 	want := []string{
 		"yield_simulate_fixed",
 		"yield_simulate_adaptive_1pct",
-		"yield_simulate_stratified",
 		"yield_simulate_importance",
 		"yield_tight_thresholds_e2e",
 	}
 	if len(records) != len(want) {
-		t.Fatalf("records = %d, want %d (fixed + adaptive + stratified + importance + tight e2e)",
+		t.Fatalf("records = %d, want %d (fixed + adaptive + importance + tight e2e)",
 			len(records), len(want))
 	}
 	for i, r := range records {

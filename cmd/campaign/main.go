@@ -104,7 +104,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		precision   = fs.Float64("precision", 0, "adaptive mode: per-cell 95% CI half-width target (0 = each scenario's policy; negative forces fixed batch)")
 		maxTrials   = fs.Int("maxtrials", 0, "adaptive mode trial budget per simulation (0 = each scenario's policy; negative resets)")
 		relPrec     = fs.Float64("relprecision", 0, "adaptive mode relative target: per-cell CI half-width as a fraction of the yield (0 = each scenario's policy; negative disables)")
-		smpl        = fs.String("sampling", "", "yield estimator for every cell: plain, stratified, or importance (\"\" = each scenario's policy; none = historical inline path)")
+		smpl        = fs.String("sampling", "", "yield estimator for every cell: plain or importance (\"\" = each scenario's policy; none = unlabelled plain counting)")
 		list        = fs.Bool("list", false, "print the expanded cell grid with store hit/miss status and exit")
 		jsonOut     = fs.Bool("json", false, "write the campaign report as JSON to stdout instead of text")
 		progress    = fs.Bool("progress", false, "stream per-cell events to the error stream")

@@ -67,7 +67,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		precision = fs.Float64("precision", 0, "adaptive mode: stop each yield simulation once its 95% CI half-width reaches this (0 = the scenario's policy; negative forces fixed batch)")
 		maxTrials = fs.Int("maxtrials", 0, "adaptive mode trial budget per simulation (0 = the scenario's policy, then batch size; negative resets)")
 		relPrec   = fs.Float64("relprecision", 0, "adaptive mode relative target: stop once the CI half-width reaches this fraction of the yield (0 = the scenario's policy; negative disables)")
-		smpl      = fs.String("sampling", "", "yield estimator: plain, stratified, or importance (\"\" = the scenario's policy; none = historical inline path)")
+		smpl      = fs.String("sampling", "", "yield estimator: plain or importance (\"\" = the scenario's policy; none = unlabelled plain counting)")
 		fig8      = fs.Bool("fig8", false, "run the registered fig8 experiment (full yield comparison)")
 		fig9      = fs.Bool("fig9", false, "run the registered fig9 experiment (E_avg ratio heatmaps)")
 		csv       = fs.Bool("csv", false, "emit CSV")

@@ -66,7 +66,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		precision = fs.Float64("precision", 0, "adaptive mode: stop each simulation once the yield's 95% CI half-width reaches this (0 = the scenario's policy; negative forces fixed batch)")
 		maxTrials = fs.Int("maxtrials", 0, "adaptive mode trial budget (0 = the scenario's policy, then batch; negative resets)")
 		relPrec   = fs.Float64("relprecision", 0, "adaptive mode relative target: stop once the CI half-width reaches this fraction of the yield (0 = the scenario's policy; negative disables)")
-		smpl      = fs.String("sampling", "", "yield estimator: plain, stratified, or importance (\"\" = the scenario's policy; none = historical inline path)")
+		smpl      = fs.String("sampling", "", "yield estimator: plain or importance (\"\" = the scenario's policy; none = unlabelled plain counting)")
 		chiplets  = fs.Bool("chiplets", false, "report catalog chiplet yields instead of the size sweep")
 		analytic  = fs.Bool("analytic", false, "add the closed-form yield estimate next to Monte Carlo")
 		csv       = fs.Bool("csv", false, "emit CSV instead of an aligned table")

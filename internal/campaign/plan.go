@@ -55,8 +55,8 @@ type Override struct {
 	MaxTrials int     `json:"max_trials,omitempty"`
 	// RelPrecision layers the adaptive mode's relative CI target with
 	// the same sentinels, and Sampling selects the yield estimator by
-	// method name ("" inherits the scenario's policy, "none" forces the
-	// historical inline path; see internal/sampling). Rare-event cells
+	// method name ("" inherits the scenario's policy, "none" forces
+	// unlabelled plain counting; see internal/sampling). Rare-event cells
 	// configured this way fingerprint — and therefore cache — separately
 	// from their plain counterparts.
 	RelPrecision float64 `json:"rel_precision,omitempty"`

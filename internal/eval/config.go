@@ -76,9 +76,9 @@ type Config struct {
 	// this one.
 	RelPrecision float64
 	// Sampling selects the yield estimator (see internal/sampling):
-	// plain counting, stratified, or importance sampling with
-	// likelihood-ratio reweighting for rare-event scenarios. The zero
-	// spec runs the historical inline counting path.
+	// plain counting, or importance sampling with likelihood-ratio
+	// reweighting for rare-event scenarios. The zero spec counts with
+	// the plain estimator but leaves results unlabelled.
 	Sampling sampling.Spec
 
 	// Progress, when non-nil, receives streaming progress events from
@@ -197,7 +197,7 @@ func (c *Config) ApplyTrialPolicyOverrides(precision float64, maxTrials int) {
 // ApplySamplingOverrides layers per-run estimator and relative-precision
 // knobs over the scenario trial policy already on the config;
 // yield.ResolveSamplingMethod defines the method sentinels ("" inherits,
-// "none" forces the historical inline path) and yield.ResolveTrialPolicy
+// "none" forces unlabelled plain counting) and yield.ResolveTrialPolicy
 // the relative-precision ones.
 func (c *Config) ApplySamplingOverrides(method string, relPrecision float64) {
 	c.Sampling = yield.ResolveSamplingMethod(c.Sampling, method)

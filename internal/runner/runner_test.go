@@ -192,9 +192,9 @@ func TestPreCancelledContextShortCircuits(t *testing.T) {
 	if _, err := MapLocal(ctx, 100, 4, noLocal, trial); !errors.Is(err, context.Canceled) {
 		t.Errorf("MapLocal err = %v, want context.Canceled", err)
 	}
-	if _, err := Stream(ctx, 100, 4, nil, noLocal, trial, func(int, int) {},
+	if _, err := StreamPlanned(ctx, 100, 4, nil, noLocal, nil, trial, func(int, int) {},
 		func(int) bool { return false }); !errors.Is(err, context.Canceled) {
-		t.Errorf("Stream err = %v, want context.Canceled", err)
+		t.Errorf("StreamPlanned err = %v, want context.Canceled", err)
 	}
 	if n := ran.Load(); n != 0 {
 		t.Errorf("%d trials ran under a pre-cancelled context", n)
@@ -225,12 +225,12 @@ func TestMidRunCancellationStopsPromptly(t *testing.T) {
 	}
 }
 
-// TestStreamMidRunCancellation: a Stream campaign cancelled mid-block
+// TestStreamMidRunCancellation: a StreamPlanned campaign cancelled mid-block
 // returns ctx.Err() without reaching the trial budget.
 func TestStreamMidRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	_, err := Stream(ctx, 1_000_000, 4, Checkpoints(250, 1_000_000), noLocal,
+	_, err := StreamPlanned(ctx, 1_000_000, 4, Checkpoints(250, 1_000_000), noLocal, nil,
 		func(_ struct{}, i int) int {
 			if ran.Add(1) == 100 {
 				cancel()

@@ -113,7 +113,7 @@ type Scratch struct {
 	Buf []float64
 }
 
-// NewScratch returns a newLocal constructor for MapLocal and Stream
+// NewScratch returns a newLocal constructor for MapLocal and StreamPlanned
 // that equips each worker with a TrialRNG and an n-element buffer.
 func NewScratch(n int) func() Scratch {
 	return func() Scratch {
@@ -139,11 +139,11 @@ func Checkpoints(min, max int) []int {
 	return append(out, max)
 }
 
-// Stream is the streaming fan-out mode: it runs up to max trials in
-// checkpoint-delimited blocks, feeds every trial's observation to an
-// aggregator in trial-index order, and asks stop after each checkpoint
-// whether the campaign can end early. It returns the number of trials
-// executed.
+// StreamPlanned is the streaming fan-out mode: it runs up to max
+// trials in checkpoint-delimited blocks, feeds every trial's
+// observation to an aggregator in trial-index order, and asks stop
+// after each checkpoint whether the campaign can end early. It returns
+// the number of trials executed.
 //
 // The determinism contract extends MapLocal's: trial i's result must
 // depend only on i (locals are scratch), blocks always run to their
@@ -152,23 +152,16 @@ func Checkpoints(min, max int) []int {
 // bit-identical at any worker count. Checkpoints are clamped to
 // (0, max] and deduplicated; a final checkpoint at max is implied.
 //
+// When plan is non-nil it is called with the half-open trial range
+// [lo, hi) of each upcoming block before any worker starts it, on the
+// coordinating goroutine, never concurrently with trial, so any
+// per-block assignment it freezes is a pure function of the trial
+// index and the checkpoint grid.
+//
 // A cancelled context stops the campaign within one in-flight trial per
 // worker and returns ctx.Err(); observations already delivered to the
 // aggregator before cancellation stay delivered, but the partial
 // campaign must be discarded by the caller.
-func Stream[L, T any](ctx context.Context, max, workers int, checkpoints []int, newLocal func() L,
-	trial func(l L, i int) T, observe func(i int, v T), stop func(trials int) bool) (int, error) {
-	return StreamPlanned(ctx, max, workers, checkpoints, newLocal, nil, trial, observe, stop)
-}
-
-// StreamPlanned is Stream with a block-planning hook: when plan is
-// non-nil it is called with the half-open trial range [lo, hi) of each
-// upcoming block before any worker starts it, on the coordinating
-// goroutine, never concurrently with trial. Estimators that assign
-// trials to strata use it to freeze per-block assignment from
-// statistics accumulated at the previous checkpoint — the assignment
-// becomes a pure function of the trial index and the checkpoint grid,
-// preserving worker-count invariance.
 func StreamPlanned[L, T any](ctx context.Context, max, workers int, checkpoints []int, newLocal func() L,
 	plan func(lo, hi int), trial func(l L, i int) T, observe func(i int, v T), stop func(trials int) bool) (int, error) {
 	if err := ctx.Err(); err != nil {

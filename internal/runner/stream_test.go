@@ -87,13 +87,13 @@ func TestTrialRNGOwnsItsCacheLines(t *testing.T) {
 	}
 }
 
-// streamRun executes a Stream campaign whose aggregate is an
+// streamRun executes a StreamPlanned campaign whose aggregate is an
 // order-sensitive fold, so any deviation from index-ordered observation
 // shows up immediately.
 func streamRun(t *testing.T, workers int) (trials int, fold uint64, seen []int) {
 	t.Helper()
-	trials, err := Stream(bg, 1000, workers, Checkpoints(100, 1000),
-		func() struct{} { return struct{}{} },
+	trials, err := StreamPlanned(bg, 1000, workers, Checkpoints(100, 1000),
+		func() struct{} { return struct{}{} }, nil,
 		func(_ struct{}, i int) uint64 { return uint64(Seed(9, i)) },
 		func(i int, v uint64) {
 			fold = fold*1099511628211 + v
@@ -130,8 +130,8 @@ func TestStreamStopsAtCheckpoint(t *testing.T) {
 
 func TestStreamRunsToMaxWithoutStop(t *testing.T) {
 	count := 0
-	trials, err := Stream(bg, 777, 3, Checkpoints(100, 777),
-		func() struct{} { return struct{}{} },
+	trials, err := StreamPlanned(bg, 777, 3, Checkpoints(100, 777),
+		func() struct{} { return struct{}{} }, nil,
 		func(_ struct{}, i int) int { return i },
 		func(i, v int) {
 			if i != v || i != count {
@@ -149,14 +149,14 @@ func TestStreamRunsToMaxWithoutStop(t *testing.T) {
 }
 
 func TestStreamDegenerateInputs(t *testing.T) {
-	if got, err := Stream(bg, 0, 4, nil, func() int { return 0 },
+	if got, err := StreamPlanned(bg, 0, 4, nil, func() int { return 0 }, nil,
 		func(int, int) bool { return false }, func(int, bool) {},
 		func(int) bool { return false }); err != nil || got != 0 {
 		t.Errorf("max=0 ran %d trials, err %v", got, err)
 	}
 	// Empty/nil checkpoints still run to max via the implied final block.
 	n := 0
-	got, err := Stream(bg, 50, 2, nil, func() int { return 0 },
+	got, err := StreamPlanned(bg, 50, 2, nil, func() int { return 0 }, nil,
 		func(_ int, i int) int { return i }, func(int, int) { n++ },
 		func(int) bool { return true })
 	if err != nil {

@@ -66,23 +66,6 @@ func BenchmarkImportanceSampleInto(b *testing.B) {
 	benchSink = sink
 }
 
-func BenchmarkStratifiedSampleInto(b *testing.B) {
-	d, m, p := benchDevice(b, 100)
-	est, err := New(Spec{Method: Stratified, Allocation: Proportional}, d, m, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := runner.NewTrialRNG().At(1, 0)
-	buf := make([]float64, d.N)
-	sink := 0.0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += est.SampleInto(r, i, buf)
-	}
-	benchSink = sink
-}
-
 func BenchmarkPlainSampleInto(b *testing.B) {
 	d, m, p := benchDevice(b, 100)
 	est, err := New(Spec{Method: Plain}, d, m, p)

@@ -201,7 +201,7 @@ func FuzzEstimatorWeightsFinite(f *testing.F) {
 		}
 		params := scaledThresholds(scale)
 		checker := collision.NewChecker(d, params)
-		for _, spec := range []Spec{{Method: Importance}, {Method: Stratified}} {
+		for _, spec := range []Spec{{Method: Plain}, {Method: Importance}} {
 			est, err := New(spec, d, m, params)
 			if err != nil {
 				t.Fatal(err)

@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"chipletqc/internal/collision"
@@ -28,19 +30,11 @@ func TestSpecCanonicalResolvesDefaults(t *testing.T) {
 		want Spec
 	}{
 		{"zero stays zero", Spec{}, Spec{}},
-		{"plain drops foreign fields",
-			Spec{Method: Plain, Strata: 7, Allocation: Proportional, Tilt: 1.3, MinESS: 9},
-			Spec{Method: Plain}},
-		{"stratified fills defaults",
-			Spec{Method: Stratified},
-			Spec{Method: Stratified, Strata: DefaultStrata, Allocation: Neyman,
-				Tilt: DefaultTilt, MinESS: DefaultMinESS}},
-		{"stratified keeps explicit fields",
-			Spec{Method: Stratified, Strata: 16, Allocation: Proportional, Tilt: 1.5, MinESS: 10},
-			Spec{Method: Stratified, Strata: 16, Allocation: Proportional, Tilt: 1.5, MinESS: 10}},
-		{"importance drops stratified fields",
-			Spec{Method: Importance, Strata: 16, Allocation: Proportional, Tilt: 1.5},
+		{"plain drops MinESS", Spec{Method: Plain, MinESS: 9}, Spec{Method: Plain}},
+		{"importance fills defaults", Spec{Method: Importance},
 			Spec{Method: Importance, MinESS: DefaultMinESS}},
+		{"importance keeps explicit MinESS", Spec{Method: Importance, MinESS: 10},
+			Spec{Method: Importance, MinESS: 10}},
 	}
 	for _, tc := range cases {
 		if got := tc.in.Canonical(); got != tc.want {
@@ -60,15 +54,11 @@ func TestSpecStringFingerprintStable(t *testing.T) {
 	if got := (Spec{Method: Plain}).String(); got != "plain" {
 		t.Errorf("plain renders %q", got)
 	}
-	if got := (Spec{Method: Stratified}).String(); got != "stratified(strata=32,alloc=neyman,tilt=0.7,miness=50)" {
-		t.Errorf("stratified default renders %q", got)
-	}
 	if got := (Spec{Method: Importance}).String(); got != "importance(miness=50)" {
 		t.Errorf("importance default renders %q", got)
 	}
-	bare := Spec{Method: Stratified}
-	explicit := Spec{Method: Stratified, Strata: DefaultStrata, Allocation: Neyman,
-		Tilt: DefaultTilt, MinESS: DefaultMinESS}
+	bare := Spec{Method: Importance}
+	explicit := Spec{Method: Importance, MinESS: DefaultMinESS}
 	if bare.String() != explicit.String() {
 		t.Errorf("default-resolved specs split the fingerprint space: %q vs %q",
 			bare.String(), explicit.String())
@@ -79,9 +69,6 @@ func TestSpecValidate(t *testing.T) {
 	valid := []Spec{
 		{},
 		{Method: Plain},
-		{Method: Stratified},
-		{Method: Stratified, Strata: 256, Allocation: Proportional, Tilt: 0.5},
-		{Method: Stratified, Tilt: 2},
 		{Method: Importance},
 		{Method: Importance, MinESS: 100},
 	}
@@ -92,20 +79,50 @@ func TestSpecValidate(t *testing.T) {
 	}
 	invalid := []Spec{
 		{Method: "bogus"},
-		{Method: Stratified, MinESS: -1},
+		{Method: "stratified"},
 		{Method: Importance, MinESS: -1},
-		{Method: Stratified, Strata: -1},
-		{Method: Stratified, Strata: 257},
-		{Method: Stratified, Allocation: "greedy"},
-		{Method: Stratified, Tilt: 0.3},
-		{Method: Stratified, Tilt: 2.5},
-		{Method: Stratified, Tilt: -1},
+		{Method: Importance, MinESS: math.NaN()},
+		{Method: Importance, MinESS: math.Inf(1)},
 	}
 	for _, s := range invalid {
 		if err := s.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", s)
 		}
 	}
+	if err := (Spec{Method: "stratified"}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), "unknown method") {
+		t.Errorf("stratified: Validate() = %v, want an unknown method error", err)
+	}
+}
+
+// FuzzSpec checks the properties fingerprints rely on: Canonical is
+// idempotent, the canonical form of a valid spec still validates, and
+// String is injective over valid canonical specs, so two distinct
+// estimator configurations can never share a cache key.
+func FuzzSpec(f *testing.F) {
+	f.Add("", 0.0, Plain, 0.0)
+	f.Add(Importance, 0.0, Importance, float64(DefaultMinESS))
+	f.Add(Importance, 10.0, Plain, 10.0)
+	f.Add("stratified", 50.0, Importance, -0.0)
+	f.Fuzz(func(t *testing.T, m1 string, e1 float64, m2 string, e2 float64) {
+		a, b := Spec{Method: m1, MinESS: e1}, Spec{Method: m2, MinESS: e2}
+		for _, s := range []Spec{a, b} {
+			if s.Validate() != nil {
+				return
+			}
+			c := s.Canonical()
+			if c.Canonical() != c {
+				t.Fatalf("Canonical not idempotent: %+v -> %+v -> %+v", s, c, c.Canonical())
+			}
+			if err := c.Validate(); err != nil {
+				t.Fatalf("canonical %+v of valid %+v fails Validate: %v", c, s, err)
+			}
+		}
+		ca, cb := a.Canonical(), b.Canonical()
+		if ca != cb && ca.String() == cb.String() {
+			t.Fatalf("distinct canonical specs %+v and %+v both render %q", ca, cb, ca.String())
+		}
+	})
 }
 
 func TestNewSelectsEstimator(t *testing.T) {
@@ -115,7 +132,6 @@ func TestNewSelectsEstimator(t *testing.T) {
 	for spec, want := range map[Spec]string{
 		{}:                   Plain,
 		{Method: Plain}:      Plain,
-		{Method: Stratified}: Stratified,
 		{Method: Importance}: Importance,
 	} {
 		est, err := New(spec, d, m, p)
@@ -139,59 +155,11 @@ func TestNewRejectsUnusableConfigs(t *testing.T) {
 		m    fab.Model
 	}{
 		{"unknown method", Spec{Method: "bogus"}, fab.DefaultModel()},
-		{"stratified without noise", Spec{Method: Stratified}, deterministic},
 		{"importance without noise", Spec{Method: Importance}, deterministic},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.spec, d, tc.m, p); err == nil {
 			t.Errorf("%s: New succeeded, want error", tc.name)
-		}
-	}
-}
-
-// TestStratifiedSliceMassesExact pins the warped-slice construction:
-// the slice masses are exact CDF differences, so they sum to 1 for any
-// tilt, the likelihood ratios are S·mass_s, and tilt 1 degenerates to
-// the classic equiprobable split.
-func TestStratifiedSliceMassesExact(t *testing.T) {
-	d := topo.MonolithicDevice(topo.MonolithicSpec(16))
-	m := fab.DefaultModel()
-	for _, tilt := range []float64{0.5, 0.7, 1, 2} {
-		spec := Spec{Method: Stratified, Tilt: tilt}.Canonical()
-		e := newStratified(spec, d, m)
-		total := 0.0
-		for s := 0; s < spec.Strata; s++ {
-			if e.mass[s] <= 0 {
-				t.Fatalf("tilt %g: stratum %d has non-positive mass %g", tilt, s, e.mass[s])
-			}
-			if got, want := e.massW[s], float64(spec.Strata)*e.mass[s]; got != want {
-				t.Errorf("tilt %g: massW[%d] = %g, want S*mass = %g", tilt, s, got, want)
-			}
-			// The quantile seed table must be strictly increasing within a
-			// stratum (its nodes sit at strictly increasing CDF values) and
-			// non-decreasing across the whole table.
-			row := e.seedQ[s*(stratSeedN+1) : (s+1)*(stratSeedN+1)]
-			for j := 1; j < len(row); j++ {
-				if row[j] <= row[j-1] {
-					t.Errorf("tilt %g: stratum %d seed nodes not increasing at %d (%g <= %g)",
-						tilt, s, j, row[j], row[j-1])
-				}
-			}
-			if s > 0 && row[0] < e.seedQ[s*(stratSeedN+1)-1] {
-				t.Errorf("tilt %g: seed table decreasing across stratum boundary %d", tilt, s)
-			}
-			total += e.mass[s]
-		}
-		if diff := total - 1; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("tilt %g: slice masses sum to %v, want 1", tilt, total)
-		}
-		if tilt == 1 {
-			for s := 0; s < spec.Strata; s++ {
-				if diff := e.mass[s] - 1/float64(spec.Strata); diff > 1e-12 || diff < -1e-12 {
-					t.Errorf("tilt 1: stratum %d mass %g, want equiprobable %g",
-						s, e.mass[s], 1/float64(spec.Strata))
-				}
-			}
 		}
 	}
 }

@@ -112,8 +112,8 @@ type TrialPolicy struct {
 	// been observed.
 	RelPrecision float64
 	// Sampling selects the scenario's default yield estimator (see
-	// internal/sampling). The zero spec keeps the historical inline
-	// counting path; rare-event scenarios default to importance
+	// internal/sampling). The zero spec keeps unlabelled plain
+	// counting; rare-event scenarios default to importance
 	// sampling so campaign cells get the variance reduction without
 	// per-run flags.
 	Sampling sampling.Spec

@@ -5,62 +5,6 @@ import (
 	"math"
 )
 
-// Histogram bins scalar observations into fixed-width bins over
-// [Lo, Lo + Width*len(Counts)). It is the binning structure behind the
-// detuning -> CX-infidelity empirical model (paper Fig. 7, Section VI-A),
-// where calibration points are grouped into 0.1 GHz detuning intervals.
-type Histogram struct {
-	Lo     float64 // left edge of bin 0
-	Width  float64 // bin width (> 0)
-	Counts []int   // observation count per bin
-}
-
-// NewHistogram creates a histogram with n bins of the given width
-// starting at lo. It panics if n <= 0 or width <= 0: histogram geometry is
-// a programming decision, not runtime input.
-func NewHistogram(lo, width float64, n int) *Histogram {
-	if n <= 0 {
-		panic(fmt.Sprintf("stats: histogram needs n > 0 bins, got %d", n))
-	}
-	if width <= 0 {
-		panic(fmt.Sprintf("stats: histogram needs width > 0, got %g", width))
-	}
-	return &Histogram{Lo: lo, Width: width, Counts: make([]int, n)}
-}
-
-// BinIndex returns the bin index for x, clamping to the first/last bin so
-// out-of-range observations are retained at the edges (the paper's model
-// samples from the nearest characterised detuning interval).
-func (h *Histogram) BinIndex(x float64) int {
-	idx := int(math.Floor((x - h.Lo) / h.Width))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	return idx
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.Counts[h.BinIndex(x)]++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.Width
-}
-
 // BinnedSeries groups (x, y) observations by x into fixed-width bins and
 // keeps the y values per bin. This is exactly the structure the paper
 // uses for on-chip fidelity assignment: detuning on x, CX infidelity on
@@ -83,7 +27,9 @@ func NewBinnedSeries(lo, width float64, n int) *BinnedSeries {
 	return &BinnedSeries{Lo: lo, Width: width, Bins: bins}
 }
 
-// binIndex clamps like Histogram.BinIndex.
+// binIndex returns the bin index for x, clamping to the first/last bin
+// so out-of-range observations are retained at the edges (the paper's
+// model samples from the nearest characterised detuning interval).
 func (b *BinnedSeries) binIndex(x float64) int {
 	idx := int(math.Floor((x - b.Lo) / b.Width))
 	if idx < 0 {

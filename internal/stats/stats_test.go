@@ -29,16 +29,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestMeanChecked(t *testing.T) {
-	if _, err := MeanChecked(nil); err != ErrEmpty {
-		t.Errorf("MeanChecked(nil) err = %v, want ErrEmpty", err)
-	}
-	got, err := MeanChecked([]float64{2, 4})
-	if err != nil || got != 3 {
-		t.Errorf("MeanChecked = %v, %v; want 3, nil", got, err)
-	}
-}
-
 func TestVarianceAndStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	// Sample variance with n-1 denominator: 32/7.
@@ -54,7 +44,7 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMaxSum(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
 	if Min(xs) != -1 {
 		t.Errorf("Min = %v, want -1", Min(xs))
@@ -62,10 +52,7 @@ func TestMinMaxSum(t *testing.T) {
 	if Max(xs) != 7 {
 		t.Errorf("Max = %v, want 7", Max(xs))
 	}
-	if Sum(xs) != 9 {
-		t.Errorf("Sum = %v, want 9", Sum(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 || Sum(nil) != 0 {
+	if Min(nil) != 0 || Max(nil) != 0 {
 		t.Error("empty-slice reducers should return 0")
 	}
 }
@@ -143,28 +130,8 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 0.1, 10)
-	h.Add(0.05)  // bin 0
-	h.Add(0.15)  // bin 1
-	h.Add(0.999) // bin 9
-	h.Add(-5)    // clamps to bin 0
-	h.Add(99)    // clamps to bin 9
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[9] != 2 {
-		t.Errorf("histogram counts wrong: %v", h.Counts)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d, want 5", h.Total())
-	}
-	if got := h.BinCenter(1); !almostEqual(got, 0.15, 1e-12) {
-		t.Errorf("BinCenter(1) = %v, want 0.15", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
+func TestBinnedSeriesPanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { NewHistogram(0, 0.1, 0) },
-		func() { NewHistogram(0, 0, 5) },
 		func() { NewBinnedSeries(0, -1, 5) },
 		func() { NewBinnedSeries(0, 1, 0) },
 	} {

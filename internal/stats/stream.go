@@ -105,18 +105,6 @@ func (p Proportion) HalfWidth(z float64) float64 {
 	return WilsonHalfWidth(p.Successes, p.Trials, z)
 }
 
-// RelHalfWidth returns the Wilson interval half-width relative to the
-// point estimate; +Inf when the estimate is 0 (no successes yet, or no
-// trials), so a relative-precision target can never be satisfied by a
-// run that has not observed the event. This is the stopping quantity
-// for near-zero yields, where an absolute half-width target stops far
-// too early: the absolute Wilson half-width at zero successes shrinks
-// like z²/n toward any fixed target while the relative width stays
-// infinite until the event has actually been seen.
-func (p Proportion) RelHalfWidth(z float64) float64 {
-	return WilsonRelHalfWidth(p.Successes, p.Trials, z)
-}
-
 // Wilson returns the Wilson score interval for a binomial proportion
 // with the given successes out of trials at normal quantile z (Z95 for
 // 95%). Unlike the normal-approximation (Wald) interval, Wilson stays
@@ -153,13 +141,4 @@ func WilsonHalfWidth(successes, trials int, z float64) float64 {
 	}
 	lo, hi := Wilson(successes, trials, z)
 	return (hi - lo) / 2
-}
-
-// WilsonRelHalfWidth returns the Wilson half-width divided by the point
-// estimate successes/trials; +Inf when successes or trials is zero.
-func WilsonRelHalfWidth(successes, trials int, z float64) float64 {
-	if trials <= 0 || successes <= 0 {
-		return math.Inf(1)
-	}
-	return WilsonHalfWidth(successes, trials, z) / (float64(successes) / float64(trials))
 }

@@ -67,10 +67,10 @@ type Config struct {
 	// Batch, so adaptive runs never exceed the fixed default's cost.
 	MaxTrials int
 	// Sampling selects the yield estimator (see internal/sampling):
-	// plain counting, stratified, or importance sampling with
-	// likelihood-ratio reweighting for deep-low-yield scenarios. The
-	// zero spec runs the historical inline counting path, bit-identical
-	// to releases that predate the sampling subsystem.
+	// plain counting, or importance sampling with likelihood-ratio
+	// reweighting for deep-low-yield scenarios. The zero spec counts
+	// with the plain estimator but leaves results unlabelled, so they
+	// render as in releases that predate the sampling subsystem.
 	Sampling sampling.Spec
 	// Progress, when non-nil, receives a per-device event at every
 	// checkpoint trial count (and at completion), labelled with the
@@ -105,7 +105,7 @@ func (c *Config) ApplyTrialPolicyOverrides(precision float64, maxTrials int) {
 
 // ResolveSamplingMethod applies a per-run estimator override to a
 // scenario-seeded sampling spec: "" inherits the current spec, "none"
-// forces the historical inline path, and any other value selects that
+// forces unlabelled plain counting, and any other value selects that
 // estimator method at its default parameters. It is the single
 // definition of the -sampling flag contract for this engine's Config
 // and eval.Config.
@@ -147,7 +147,7 @@ type Result struct {
 	CIHi   float64
 
 	// Estimator names the sampling estimator that produced the result;
-	// empty for the historical inline counting path. When set, Yield is
+	// empty for unlabelled plain counting (the zero spec). When set, Yield is
 	// the estimator's (possibly weighted) point estimate — Free/Batch
 	// counts raw proposal-level outcomes and is NOT the yield under
 	// importance sampling — and ESS its effective sample size.
@@ -190,75 +190,53 @@ func (r Result) String() string {
 // the MaxTrials/Batch budget is spent. Cancelling ctx aborts the
 // campaign within one in-flight trial per worker and returns ctx.Err().
 func Simulate(ctx context.Context, d *topo.Device, cfg Config) (Result, error) {
-	res := Result{Device: d.Name, Qubits: d.N, CIHi: 1}
-	adaptive := cfg.Precision > 0 || cfg.RelPrecision > 0
-	max := cfg.Batch
-	if adaptive && cfg.MaxTrials > 0 {
-		max = cfg.MaxTrials
+	if max, _ := cfg.budget(); max <= 0 {
+		return Result{Device: d.Name, Qubits: d.N, CIHi: 1}, ctx.Err()
 	}
-	if max <= 0 {
-		return res, ctx.Err()
-	}
-	checker := collision.NewChecker(d, cfg.Params)
-	newLocal := runner.NewScratch(d.N)
-	lastEmit := -1
-	emit := func(done int) {
-		if cfg.Progress != nil && done != lastEmit {
-			lastEmit = done
-			cfg.Progress(Event{Label: d.Name, Done: done, Total: max})
-		}
-	}
-	if !cfg.Sampling.IsZero() {
-		est, err := sampling.New(cfg.Sampling, d, cfg.Model, cfg.Params)
-		if err != nil {
-			return Result{}, err
-		}
-		return simulateEstimated(ctx, d, cfg, checker, est, max, adaptive, emit)
-	}
-	// Each trial draws its device qubit by qubit and stops at the first
-	// collision; the outcome is that of drawing every qubit and then
-	// checking (see collision.Checker.SampleFree).
-	mu := cfg.Model.Targets(d)
-	trial := func(l runner.Scratch, i int) bool {
-		return checker.SampleFree(l.RNG.At(cfg.Seed, i), mu, cfg.Model.Sigma, l.Buf)
-	}
-	// Both modes run through the checkpointed stream: the fixed mode's
-	// stop is constant-false, so it counts every trial of the batch,
-	// while still getting checkpoint-granular progress reporting.
-	var p stats.Proportion
-	stop := func(int) bool { return false }
-	if adaptive {
-		stop = func(int) bool {
-			return (cfg.Precision > 0 && p.HalfWidth(stats.Z95) <= cfg.Precision) ||
-				(cfg.RelPrecision > 0 && p.RelHalfWidth(stats.Z95) <= cfg.RelPrecision)
-		}
-	}
-	trials, err := runner.Stream(ctx, max, cfg.Workers,
-		runner.Checkpoints(adaptiveMinTrials, max), newLocal, trial,
-		func(_ int, ok bool) { p.Add(ok) },
-		func(done int) bool { emit(done); return stop(done) })
+	est, err := sampling.New(cfg.Sampling, d, cfg.Model, cfg.Params)
 	if err != nil {
 		return Result{}, err
 	}
-	emit(trials)
-	res.Batch, res.Free = p.Trials, p.Successes
-	res.CILo, res.CIHi = stats.Wilson(res.Free, res.Batch, stats.Z95)
-	return res, nil
+	// Plain's trials already run a checker for these thresholds; the
+	// audits reuse it rather than building a second one per call.
+	var checker *collision.Checker
+	if c, ok := est.(interface{ Checker() *collision.Checker }); ok {
+		checker = c.Checker()
+	} else {
+		checker = collision.NewChecker(d, cfg.Params)
+	}
+	res, err := simulateEstimated(ctx, d, cfg, checker, est)
+	if cfg.Sampling.IsZero() {
+		// The zero spec counts with the plain estimator but stays
+		// unlabelled, so its results render as they always have.
+		res.Estimator, res.Yield, res.ESS = "", 0, 0
+	}
+	return res, err
+}
+
+// budget returns the trial cap and whether the run may stop early.
+func (c Config) budget() (max int, adaptive bool) {
+	adaptive = c.Precision > 0 || c.RelPrecision > 0
+	if adaptive && c.MaxTrials > 0 {
+		return c.MaxTrials, true
+	}
+	return c.Batch, adaptive
 }
 
 // freeByConstruction is implemented by estimators whose every
 // finite-weight sample satisfies the collision criteria by construction
-// (the sequential conditioned proposal), letting the engine downgrade
-// its independent per-trial collision check to a sampled audit.
+// (plain's early-exit trial, the sequential conditioned proposal),
+// letting the engine downgrade its independent per-trial collision
+// check to a sampled audit.
 type freeByConstruction interface{ FreeByConstruction() bool }
 
 // auditEvery is the sampled-audit period for construction-free
 // estimators: every auditEvery-th trial still runs the engine's
-// independent collision checker against the sampled frequencies, so a
-// proposal construction bug is caught within one checkpoint block while
-// the other trials skip the check — the audit tax that used to double
-// the importance path's per-trial cost. Test builds and -race builds
-// audit every trial.
+// independent collision checker against the sampled frequencies, so an
+// estimator bug is caught within one checkpoint block while the other
+// trials skip the check, which would otherwise double the importance
+// path's per-trial cost. Test builds and -race builds audit every trial.
+// It is a power of two, so picking the audited trials is a mask.
 const auditEvery = 64
 
 // auditPeriod resolves the audit period for one estimator: 1 (check
@@ -276,15 +254,23 @@ func auditPeriod(est sampling.Estimator) (period int, constructed bool) {
 	return 1, false
 }
 
-// simulateEstimated is Simulate's pluggable-estimator path: trials carry
-// a log likelihood-ratio weight from the estimator's proposal through
-// the checkpointed stream, the estimator folds outcomes in index order,
-// and adaptive stopping asks the estimator for its (possibly weighted,
-// ESS-guarded) half-width. Worker-count invariance holds exactly as on
-// the inline path because block planning and observation both happen on
-// the coordinating goroutine at the fixed checkpoint grid.
+// simulateEstimated is Simulate's Monte Carlo loop: trials carry a log
+// likelihood-ratio weight from the estimator's proposal through the
+// checkpointed stream, the estimator folds outcomes in index order, and
+// adaptive stopping asks the estimator for its (possibly weighted,
+// ESS-guarded) half-width. Worker-count invariance holds because block
+// planning, observation and stop decisions all happen on the
+// coordinating goroutine at the fixed checkpoint grid.
 func simulateEstimated(ctx context.Context, d *topo.Device, cfg Config,
-	checker *collision.Checker, est sampling.Estimator, max int, adaptive bool, emit func(int)) (Result, error) {
+	checker *collision.Checker, est sampling.Estimator) (Result, error) {
+	max, adaptive := cfg.budget()
+	lastEmit := -1
+	emit := func(done int) {
+		if cfg.Progress != nil && done != lastEmit {
+			lastEmit = done
+			cfg.Progress(Event{Label: d.Name, Done: done, Total: max})
+		}
+	}
 	audit, constructed := auditPeriod(est)
 	type outcome struct {
 		ok, auditFailed bool
@@ -297,7 +283,7 @@ func simulateEstimated(ctx context.Context, d *topo.Device, cfg Config,
 		// The audit depends only on the trial index, preserving
 		// worker-count invariance.
 		o := outcome{ok: !math.IsInf(logw, -1), logw: logw}
-		if o.ok && (audit == 1 || i%audit == 0) {
+		if o.ok && i&(audit-1) == 0 {
 			o.ok = checker.Free(l.Buf)
 			o.auditFailed = constructed && !o.ok
 		}
@@ -312,9 +298,8 @@ func simulateEstimated(ctx context.Context, d *topo.Device, cfg Config,
 				return true
 			}
 			if cfg.RelPrecision > 0 {
-				if e := est.Snapshot(stats.Z95); e.Yield > 0 && hw <= cfg.RelPrecision*e.Yield {
-					return true
-				}
+				y := est.Snapshot(stats.Z95).Yield
+				return y > 0 && hw/y <= cfg.RelPrecision
 			}
 			return false
 		}
@@ -356,20 +341,19 @@ type Point struct {
 // MonolithicCurve simulates yield for a ladder of monolithic device sizes
 // (paper Fig. 4: collision-free yield vs qubits). Sizes run concurrently;
 // each size's simulation is independently seeded, so the curve is
-// identical at any worker count.
+// identical at any worker count. A failed simulation fails the curve
+// with the error of the smallest failing size.
 func MonolithicCurve(ctx context.Context, sizes []int, cfg Config) ([]Point, error) {
 	outer, inner := runner.Split(cfg.Workers, len(sizes))
 	icfg := cfg
 	icfg.Workers = inner
-	return runner.Map(ctx, len(sizes), outer, func(i int) Point {
+	return runner.MapErr(ctx, len(sizes), outer, func(i int) (Point, error) {
 		d := topo.MonolithicDevice(topo.MonolithicSpec(sizes[i]))
-		// A nested cancellation is surfaced by the outer Map's own
-		// context check, so the per-size error can be dropped here.
-		res, _ := Simulate(ctx, d, icfg)
+		res, err := Simulate(ctx, d, icfg)
 		return Point{
 			Qubits: d.N, Yield: res.Fraction(),
 			Trials: res.Batch, CILo: res.CILo, CIHi: res.CIHi,
-		}
+		}, err
 	})
 }
 
@@ -402,7 +386,8 @@ func SizeLadder(maxQubits int) []int {
 
 // ChipletYields simulates collision-free yield for every chiplet of the
 // configured catalog (paper Fig. 8(b)); cfg.Catalog nil falls back to
-// the paper's topo.Catalog.
+// the paper's topo.Catalog. The first failing chiplet's error fails the
+// call.
 func ChipletYields(ctx context.Context, cfg Config) ([]Result, error) {
 	catalog := cfg.Catalog
 	if catalog == nil {
@@ -411,12 +396,11 @@ func ChipletYields(ctx context.Context, cfg Config) ([]Result, error) {
 	outer, inner := runner.Split(cfg.Workers, len(catalog))
 	icfg := cfg
 	icfg.Workers = inner
-	return runner.Map(ctx, len(catalog), outer, func(i int) Result {
+	return runner.MapErr(ctx, len(catalog), outer, func(i int) (Result, error) {
 		cs := catalog[i]
 		d := topo.MonolithicDevice(cs.Spec)
 		d.Name = fmt.Sprintf("chiplet-%d", cs.Qubits)
-		res, _ := Simulate(ctx, d, icfg)
-		return res
+		return Simulate(ctx, d, icfg)
 	})
 }
 
@@ -431,19 +415,20 @@ type SweepCell struct {
 // Sweep runs MonolithicCurve for the cross product of steps and sigmas.
 // Cells run concurrently; each cell's curve is independently seeded. The
 // worker budget is split between the cell fan-out and the nested curve
-// so total concurrency stays near cfg.Workers.
+// so total concurrency stays near cfg.Workers. The first failing cell's
+// error fails the sweep.
 func Sweep(ctx context.Context, steps, sigmas []float64, sizes []int, cfg Config) ([]SweepCell, error) {
 	outer, inner := runner.Split(cfg.Workers, len(steps)*len(sigmas))
-	return runner.Map(ctx, len(steps)*len(sigmas), outer, func(i int) SweepCell {
+	return runner.MapErr(ctx, len(steps)*len(sigmas), outer, func(i int) (SweepCell, error) {
 		c := cfg
 		c.Workers = inner
 		c.Model.Plan.Step = steps[i/len(sigmas)]
 		c.Model.Sigma = sigmas[i%len(sigmas)]
-		points, _ := MonolithicCurve(ctx, sizes, c)
+		points, err := MonolithicCurve(ctx, sizes, c)
 		return SweepCell{
 			Step:   c.Model.Plan.Step,
 			Sigma:  c.Model.Sigma,
 			Points: points,
-		}
+		}, err
 	})
 }
