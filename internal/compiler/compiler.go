@@ -8,8 +8,10 @@ package compiler
 
 import (
 	"fmt"
+	"sort"
 
 	"chipletqc/internal/circuit"
+	"chipletqc/internal/graph"
 	"chipletqc/internal/topo"
 )
 
@@ -31,7 +33,8 @@ type Result struct {
 
 // Compile maps circuit c onto device dev with baseline options. The
 // circuit is lowered to the native {1q, CX} basis first. It returns an
-// error when the circuit needs more qubits than the device offers.
+// error when the circuit needs more qubits than the device offers, or
+// than the connected component holding the layout center reaches.
 func Compile(c *circuit.Circuit, dev *topo.Device) (*Result, error) {
 	return compile(c, dev, Options{})
 }
@@ -44,7 +47,15 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 			c.NumQubits, dev.Name, dev.N)
 	}
 	native := circuit.Decompose(c)
-	layout := initialLayout(dev, c.NumQubits)
+	rt := newRouter(dev.G)
+	if len(rt.order) < c.NumQubits {
+		return nil, fmt.Errorf("compiler: circuit needs %d qubits, device %q reaches only %d from its center",
+			c.NumQubits, dev.Name, len(rt.order))
+	}
+	layout := make([]int, c.NumQubits)
+	for l := range layout {
+		layout[l] = int(rt.order[l])
+	}
 
 	pos := append([]int(nil), layout...) // logical -> physical
 	owner := make([]int, dev.N)          // physical -> logical (-1 free)
@@ -56,6 +67,8 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 	}
 
 	out := circuit.New(dev.N)
+	// Every native gate emits one output gate; SWAPs append after.
+	out.Gates = make([]circuit.Gate, 0, len(native.Gates))
 	swaps := 0
 
 	emitSwap := func(u, v int) {
@@ -73,14 +86,34 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 		swaps++
 	}
 
-	// findPath routes between two physical qubits: BFS shortest path by
-	// default, or a minimum-cost path under the configured edge costs.
-	findPath := func(u, v int) []int {
-		if opts.EdgeCost == nil {
-			return dev.G.ShortestPath(u, v)
+	// route swaps logical a toward logical b until their physical qubits
+	// couple: along the BFS routing table by default, or along a
+	// minimum-cost path under the configured edge costs.
+	route := func(a, b int) error {
+		for {
+			u, v := pos[a], pos[b]
+			var hop int
+			if opts.EdgeCost == nil {
+				i := u*dev.N + v
+				if rt.dist[i] == 1 {
+					return nil
+				}
+				if rt.dist[i] < 0 {
+					return fmt.Errorf("compiler: no path between physical %d and %d", u, v)
+				}
+				hop = int(rt.next[i])
+			} else {
+				if dev.G.HasEdge(u, v) {
+					return nil
+				}
+				path, _ := dev.G.ShortestPathWeighted(u, v, opts.EdgeCost)
+				if path == nil {
+					return fmt.Errorf("compiler: no path between physical %d and %d", u, v)
+				}
+				hop = path[1]
+			}
+			emitSwap(u, hop)
 		}
-		p, _ := dev.G.ShortestPathWeighted(u, v, opts.EdgeCost)
-		return p
 	}
 
 	for _, g := range native.Gates {
@@ -89,14 +122,8 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 			out.Append(g.Name, g.Param, pos[g.Qubits[0]])
 		case g.IsTwoQubit():
 			a, b := g.Qubits[0], g.Qubits[1]
-			// Route a toward b along the chosen path until adjacent.
-			for !dev.G.HasEdge(pos[a], pos[b]) {
-				path := findPath(pos[a], pos[b])
-				if path == nil {
-					return nil, fmt.Errorf("compiler: no path between physical %d and %d",
-						pos[a], pos[b])
-				}
-				emitSwap(path[0], path[1])
+			if err := route(a, b); err != nil {
+				return nil, err
 			}
 			out.Append(g.Name, g.Param, pos[a], pos[b])
 		default:
@@ -114,59 +141,67 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 	}, nil
 }
 
-// initialLayout picks a dense, central region of the device: BFS from the
-// graph center (minimum eccentricity, lowest id on ties) and take the
-// first n qubits discovered in deterministic order.
-func initialLayout(dev *topo.Device, n int) []int {
-	center := graphCenter(dev)
-	order := bfsOrder(dev, center)
-	return order[:n]
+// router holds one compile's all-pairs BFS routing tables over an
+// n-vertex graph, indexed u*n+v. Each source is searched once, visiting
+// neighbours in ascending order, which is the visit order
+// graph.ShortestPath uses. ShortestPath(u, v) stops when it dequeues v,
+// by which time v and its BFS-tree ancestors have their predecessors
+// fixed exactly as in the full search from u, so next always names the
+// second vertex of ShortestPath(u, v).
+type router struct {
+	// dist[u*n+v] is the hop count from u to v, -1 when unreachable.
+	dist []int32
+	// next[u*n+v] is the first hop from u toward v (v itself when
+	// adjacent, u when v == u, -1 when unreachable).
+	next []int32
+	// order is the BFS discovery order from the graph center: the
+	// vertex of minimum eccentricity, lowest id on ties. The
+	// eccentricity of a vertex counts only the vertices it reaches.
+	order []int32
 }
 
-// graphCenter returns the vertex with minimum eccentricity.
-func graphCenter(dev *topo.Device) int {
-	best, bestEcc := 0, int(^uint(0)>>1)
-	for v := 0; v < dev.N; v++ {
-		ecc := 0
-		for _, d := range dev.G.BFSFrom(v) {
-			if d > ecc {
-				ecc = d
+func newRouter(g *graph.Graph) *router {
+	n := g.N()
+	adj := make([][]int, n)
+	for v := range adj {
+		adj[v] = append([]int(nil), g.Neighbors(v)...)
+		sort.Ints(adj[v])
+	}
+	r := &router{dist: make([]int32, n*n), next: make([]int32, n*n)}
+	for i := range r.dist {
+		r.dist[i] = -1
+		r.next[i] = -1
+	}
+	// queue holds the current source's discovery order; it trades
+	// buffers with order whenever that source becomes the new center.
+	queue, order := make([]int32, n), make([]int32, n)
+	bestEcc := int32(n) // above any eccentricity
+	for src := 0; src < n; src++ {
+		dist, next := r.dist[src*n:(src+1)*n], r.next[src*n:(src+1)*n]
+		dist[src], next[src] = 0, int32(src)
+		queue[0] = int32(src)
+		tail := 1
+		for head := 0; head < tail; head++ {
+			v := queue[head]
+			for _, w := range adj[v] {
+				if dist[w] >= 0 {
+					continue
+				}
+				dist[w] = dist[v] + 1
+				if int(v) == src {
+					next[w] = int32(w)
+				} else {
+					next[w] = next[v]
+				}
+				queue[tail] = int32(w)
+				tail++
 			}
 		}
-		if ecc < bestEcc {
-			best, bestEcc = v, ecc
+		if ecc := dist[queue[tail-1]]; ecc < bestEcc {
+			bestEcc = ecc
+			queue, order = order, queue
+			r.order = order[:tail]
 		}
 	}
-	return best
-}
-
-// bfsOrder returns all vertices in BFS discovery order from src with
-// sorted neighbour visits for determinism.
-func bfsOrder(dev *topo.Device, src int) []int {
-	seen := make([]bool, dev.N)
-	order := make([]int, 0, dev.N)
-	queue := []int{src}
-	seen[src] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		nbrs := append([]int(nil), dev.G.Neighbors(v)...)
-		insertionSort(nbrs)
-		for _, w := range nbrs {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return order
-}
-
-func insertionSort(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	return r
 }
