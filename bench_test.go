@@ -7,8 +7,8 @@ package chipletqc
 //	go test -bench=. -benchmem
 //
 // Benchmarks run at reduced Monte Carlo scale so the full suite
-// completes in minutes; cmd/figures runs the paper-scale versions and
-// writes the full row/series output. Key reproduced quantities are
+// completes in minutes; cmd/campaign runs the paper-scale versions and,
+// with -out, writes the full row/series output. Key reproduced quantities are
 // attached to each benchmark via ReportMetric so regressions in the
 // *shape* of the results (who wins, by what factor) are visible in CI.
 

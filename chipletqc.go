@@ -30,7 +30,8 @@
 //
 // Every figure and table of the paper's evaluation is a named, runnable
 // unit of the Experiment registry (see experiments.go and the
-// cmd/figures binary: `figures -list`, `figures -only fig8 -json`),
+// cmd/campaign binary: `campaign -list`, `campaign -experiments fig8
+// -out results`),
 // every device world is a registrable Scenario (scenarios.go), and
 // their cross product runs as one cached, resumable, shardable job
 // through the campaign engine (campaigns.go and the cmd/campaign

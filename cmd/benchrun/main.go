@@ -20,19 +20,16 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"syscall"
 	"testing"
 
+	"chipletqc/internal/cli"
 	"chipletqc/internal/eval"
 	"chipletqc/internal/experiment"
 	"chipletqc/internal/mcm"
@@ -43,30 +40,15 @@ import (
 	"chipletqc/internal/yield"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "benchrun:", err)
-		os.Exit(1)
-	}
-}
-
-// errUsage marks argument errors the FlagSet has already reported to
-// the error stream; main exits 2 without repeating them.
-var errUsage = errors.New("usage error")
+func main() { cli.Main("benchrun", run) }
 
 // run executes the tool against args, writing reports to out. It is the
 // testable core of the binary: flag errors, compile failures, and report
 // failures surface as returned errors instead of process exits.
 func run(ctx context.Context, args []string, out, errw io.Writer) error {
-	fs := flag.NewFlagSet("benchrun", flag.ContinueOnError)
-	fs.SetOutput(errw)
+	fs := cli.NewFlagSet("benchrun", errw)
+	rf := cli.Bind(fs, cli.Scenario|cli.TrialPolicy)
 	var (
-		scen      = fs.String("scenario", scenario.PaperName, "device scenario to run under (see `figures -scenarios`)")
 		table2    = fs.Bool("table2", false, "print Table II compiled benchmark details (registry artifact)")
 		all       = fs.Bool("all", false, "evaluate Fig. 10 over all enumerated systems (registry artifact)")
 		square    = fs.Bool("square", false, "restrict -all to square systems (Fig. 10b)")
@@ -77,12 +59,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		batch     = fs.Int("batch", 2000, "chiplet batch size (0 = the scenario's policy)")
 		mono      = fs.Int("mono", 2000, "monolithic batch size (0 = the scenario's policy)")
 		samples   = fs.Int("samples", 3, "device instances averaged per architecture")
-		seed      = fs.Int64("seed", 1, "RNG seed")
-		workers   = fs.Int("workers", 0, "parallel workers (0 = all CPU cores; results identical either way)")
-		precision = fs.Float64("precision", 0, "adaptive mode: stop yield simulations once their 95% CI half-width reaches this (0 = the scenario's policy; negative forces fixed batch)")
-		maxTrials = fs.Int("maxtrials", 0, "adaptive mode trial budget per simulation (0 = the scenario's policy, then batch size; negative resets)")
-		relPrec   = fs.Float64("relprecision", 0, "adaptive mode relative target: stop once the CI half-width reaches this fraction of the yield (0 = the scenario's policy; negative disables)")
-		smpl      = fs.String("sampling", "", "yield estimator: plain or importance (\"\" = the scenario's policy; none = unlabelled plain counting)")
 		perf      = fs.Bool("perf", false, "run the yield hot-path micro-benchmark and write a machine-readable perf record")
 		perfOut   = fs.String("perfout", "BENCH_yield.json", "perf record output path for -perf")
 		perfCheck = fs.String("perfcheck", "", "compare a fresh micro-benchmark against this committed baseline record; exit non-zero on regression")
@@ -92,10 +68,10 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		csv       = fs.Bool("csv", false, "emit CSV")
 	)
 	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errUsage
+		return cli.ParseError(err)
+	}
+	if *batch < 0 {
+		return cli.Usagef(errw, "benchrun: -batch %d is negative (0 = the scenario's policy)", *batch)
 	}
 
 	// Profiling hooks: attributing a yield-throughput regression needs
@@ -129,11 +105,11 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		}()
 	}
 
-	scn, err := scenario.Lookup(*scen)
+	cfg, err := rf.Eval()
 	if err != nil {
 		return err
 	}
-	cfg := eval.ConfigFor(scn, *seed)
+	scn := cfg.ResolvedScenario()
 	if *batch > 0 {
 		cfg.ChipletBatch = *batch
 	}
@@ -141,20 +117,13 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		cfg.MonoBatch = *mono
 	}
 	cfg.MaxQubits = *maxQ
-	cfg.Workers = *workers
-	// 0 inherits the scenario's trial policy; negative forces fixed-batch.
-	cfg.ApplyTrialPolicyOverrides(*precision, *maxTrials)
-	cfg.ApplySamplingOverrides(*smpl, *relPrec)
-	if err := cfg.Sampling.Validate(); err != nil {
-		return err
-	}
 	cfg.Fig10Samples = *samples
 
 	if *perfCheck != "" {
-		return runPerfCheck(ctx, scn, *batch, *workers, *seed, *perfCheck, *perfTol, out)
+		return runPerfCheck(ctx, scn, *batch, rf.Workers(), rf.Seed(), *perfCheck, *perfTol, out)
 	}
 	if *perf {
-		return runPerf(ctx, scn, *batch, *workers, *seed, *perfOut, out)
+		return runPerf(ctx, scn, *batch, rf.Workers(), rf.Seed(), *perfOut, out)
 	}
 
 	if *table2 {
@@ -200,14 +169,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 			fmt.Sprintf("%dx%d", p.Grid.Rows, p.Grid.Cols),
 			p.Qubits, p.Bench, logS, ratioS, note)
 	}
-	return emit(tb, out, *csv)
-}
-
-func emit(tb *report.Table, out io.Writer, csv bool) error {
-	if csv {
-		return tb.WriteCSV(out)
-	}
-	return tb.WriteText(out)
+	return cli.Emit(tb, out, *csv)
 }
 
 // perfRecord is one machine-readable micro-benchmark measurement of the

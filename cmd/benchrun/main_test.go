@@ -3,10 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"chipletqc/internal/cli"
 )
 
 // TestRunSingleSystemSmoke is a tiny end-to-end Fig. 10 run on one MCM
@@ -169,5 +172,25 @@ func TestRunTable2ThroughRegistry(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("missing %q in artifact output:\n%s", want, got)
 		}
+	}
+}
+
+// TestRunRejectsNegativeBatch: -batch 0 means the scenario's policy;
+// a negative batch is a usage error, not a silent 0.
+func TestRunRejectsNegativeBatch(t *testing.T) {
+	var out, errs strings.Builder
+	if err := run(context.Background(), []string{"-batch", "-5"}, &out, &errs); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("err = %v, want cli.ErrUsage", err)
+	}
+}
+
+// TestRunRejectsEmptyGrid: a grid with no rows is an error, not a
+// panic inside a Fig. 10 worker.
+func TestRunRejectsEmptyGrid(t *testing.T) {
+	var out, errs strings.Builder
+	err := run(context.Background(), []string{"-chiplet", "10", "-rows", "0", "-cols", "2",
+		"-batch", "20", "-mono", "20", "-samples", "1"}, &out, &errs)
+	if err == nil || !strings.Contains(err.Error(), "0x2") {
+		t.Errorf("err = %v, want the grid validation error", err)
 	}
 }

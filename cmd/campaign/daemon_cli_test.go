@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"chipletqc/internal/cli"
 	"chipletqc/internal/daemon"
 )
 
@@ -35,12 +36,15 @@ func TestModeFlagConflicts(t *testing.T) {
 		{"client verb with admin verb", []string{"-submit", "-verify", "-store", dir}, "separately"},
 		{"serve with client verb", []string{"-serve", "-submit"}, "-serve"},
 		{"two client verbs", []string{"-submit", "-job", "job-000001"}, "exactly one client verb"},
+		{"out with serve", []string{"-serve", "-out", dir}, "-out"},
+		{"out with submit", []string{"-submit", "-out", dir}, "-out"},
+		{"out with verify", []string{"-store", dir, "-verify", "-out", dir}, "-out"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, errs, err := runArgs(t, context.Background(), tc.args...)
-			if !errors.Is(err, errUsage) {
-				t.Fatalf("err = %v, want errUsage", err)
+			if !errors.Is(err, cli.ErrUsage) {
+				t.Fatalf("err = %v, want cli.ErrUsage", err)
 			}
 			if !strings.Contains(errs, tc.want) {
 				t.Errorf("usage error does not name the conflict %q:\n%s", tc.want, errs)

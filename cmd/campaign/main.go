@@ -4,15 +4,22 @@
 // cells already present in the store are served without re-simulating,
 // and everything executed is persisted — so an interrupted campaign
 // resumes where it stopped, a repeated campaign costs nothing, and
-// -shard splits one campaign across independent processes.
+// -shard splits one campaign across independent processes. With -out,
+// every cell's artifact is also written as files: this is how the
+// paper's figures and tables are regenerated.
 //
 // Usage:
 //
 //	campaign -experiments fig4,fig8 -scenarios paper,future-fab -store artifacts
 //	campaign -quick -store artifacts            # every experiment, paper scenario, smoke scale
+//	campaign -store "" -out results             # the paper's evaluation, paper scale (minutes)
+//	campaign -store "" -quick -experiments fig8,table2 -out results
+//	                                            # results/fig8@paper.{txt,json}, results/table2@paper.{txt,json}
+//	campaign -experiments fig4 -scenarios all -store "" -out results  # fig4 under every registered scenario
 //	campaign -experiments genyield -generate "topos=hex-3x3-q16;sigmas=0.002,0.004" -store artifacts
 //	                                            # generated-scenario grid (see internal/generate, cmd/explore)
-//	campaign ... -list                          # dry run: print the cell grid + hit/miss status
+//	campaign -list -scenarios all -store ""     # the experiment and scenario catalogs, then the grid
+//	campaign ... -list                          # dry run: the plan's catalogs, cell grid + hit/miss status
 //	campaign ... -shard 0/2 & campaign ... -shard 1/2   # split one campaign
 //	campaign ... -resume=false                  # force re-execution, overwriting stored cells
 //	campaign ... -json                          # machine-readable report on stdout
@@ -49,6 +56,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -56,58 +64,39 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
 
 	"chipletqc/internal/campaign"
+	"chipletqc/internal/cli"
 	"chipletqc/internal/daemon"
+	"chipletqc/internal/experiment"
 	"chipletqc/internal/generate"
 	"chipletqc/internal/scenario"
 	"chipletqc/internal/store"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		// The engine's errors already carry the package prefix.
-		fmt.Fprintln(os.Stderr, "campaign:", strings.TrimPrefix(err.Error(), "campaign: "))
-		os.Exit(1)
-	}
-}
-
-// errUsage marks argument errors the FlagSet has already reported to
-// the error stream; main exits 2 without repeating them.
-var errUsage = errors.New("usage error")
+func main() { cli.Main("campaign", run) }
 
 // run executes the tool against args, writing the report to out. It is
 // the testable core of the binary.
 func run(ctx context.Context, args []string, out, errw io.Writer) error {
-	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
-	fs.SetOutput(errw)
+	fs := cli.NewFlagSet("campaign", errw)
+	rf := cli.Bind(fs, cli.Quick|cli.TrialPolicy)
 	var (
 		experiments = fs.String("experiments", "", "comma-separated experiment names (default: every registered experiment)")
-		scenarios   = fs.String("scenarios", "", "comma-separated device scenario names (default: paper)")
+		scenarios   = fs.String("scenarios", "", "comma-separated device scenario names, or all for every registered scenario (default: paper)")
 		genSpec     = fs.String("generate", "", "register a generated scenario grid `topos=...;sigmas=...;thresholds=...;links=...;base=...` and add its scenarios to the plan (with -serve: make the grid's names resolvable to submitted plans)")
 		storeDir    = fs.String("store", "campaign-store", "artifact store directory; empty disables persistence")
 		resume      = fs.Bool("resume", true, "serve cells already in the store instead of re-simulating; -resume=false forces re-execution")
 		shardSpec   = fs.String("shard", "", "run only shard i of n of the cell grid, e.g. 0/2 (default: everything)")
-		quick       = fs.Bool("quick", false, "reduced Monte Carlo batches (smoke scale)")
-		seed        = fs.Int64("seed", 1, "base RNG seed for every cell")
-		workers     = fs.Int("workers", 0, "total worker budget across cells (0 = all CPU cores; results identical either way)")
-		precision   = fs.Float64("precision", 0, "adaptive mode: per-cell 95% CI half-width target (0 = each scenario's policy; negative forces fixed batch)")
-		maxTrials   = fs.Int("maxtrials", 0, "adaptive mode trial budget per simulation (0 = each scenario's policy; negative resets)")
-		relPrec     = fs.Float64("relprecision", 0, "adaptive mode relative target: per-cell CI half-width as a fraction of the yield (0 = each scenario's policy; negative disables)")
-		smpl        = fs.String("sampling", "", "yield estimator for every cell: plain or importance (\"\" = each scenario's policy; none = unlabelled plain counting)")
-		list        = fs.Bool("list", false, "print the expanded cell grid with store hit/miss status and exit")
+		list        = fs.Bool("list", false, "print the plan's experiments and scenarios and its cell grid with store hit/miss status, and exit")
 		jsonOut     = fs.Bool("json", false, "write the campaign report as JSON to stdout instead of text")
 		progress    = fs.Bool("progress", false, "stream per-cell events to the error stream")
+		outDir      = fs.String("out", "", "also write each cell's text rendering and Artifact JSON into this `directory` as <cell-id>.txt and <cell-id>.json")
 
 		// Store admin verbs: each runs instead of a campaign.
 		verify     = fs.Bool("verify", false, "admin: audit every store record (decode + identity cross-check); exit 1 naming bad files")
@@ -132,10 +121,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		shutdown = fs.Bool("shutdown", false, "client: ask the daemon to drain and exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errUsage
+		return cli.ParseError(err)
 	}
 	// Which flags did the user actually set? Mode validation below
 	// rejects set-but-ignored flags instead of silently dropping them.
@@ -146,7 +132,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
-	scenarioNames := splitNames(*scenarios)
+	scenarioNames := scenarioList(*scenarios)
 	if *genSpec != "" {
 		genNames, err := registerGenerated(*genSpec)
 		if err != nil {
@@ -157,13 +143,13 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	plan := campaign.Plan{
 		Experiments: splitNames(*experiments),
 		Scenarios:   scenarioNames,
-		Seed:        *seed,
-		Quick:       *quick,
+		Seed:        rf.Seed(),
+		Quick:       rf.Quick(),
 	}
-	if *precision != 0 || *maxTrials != 0 || *relPrec != 0 || *smpl != "" {
+	if p := rf.Policy(); p != (cli.Policy{}) {
 		plan.Overrides = []campaign.Override{{
-			Precision: *precision, MaxTrials: *maxTrials,
-			RelPrecision: *relPrec, Sampling: *smpl,
+			Precision: p.Precision, MaxTrials: p.MaxTrials,
+			RelPrecision: p.RelPrecision, Sampling: p.Sampling,
 		}}
 	}
 
@@ -177,32 +163,21 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		pin:     *pin,
 		unpin:   *unpin,
 	}
-	clientVerb, clientCount := "", 0
-	for _, v := range []struct {
-		name string
-		on   bool
-	}{
-		{"-submit", *submit},
-		{"-job", *jobID != ""},
-		{"-fetch", *fetchKey != ""},
-		{"-status", *dstatus},
-		{"-shutdown", *shutdown},
-	} {
-		if v.on {
-			clientVerb = v.name
-			clientCount++
-		}
-	}
-	if err := checkModeFlags(explicit, *serve, clientVerb, clientCount, admin, *gcRun, errw); err != nil {
+	clientVerbs := chosen(verb{"-submit", *submit}, verb{"-job", *jobID != ""},
+		verb{"-fetch", *fetchKey != ""}, verb{"-status", *dstatus}, verb{"-shutdown", *shutdown})
+	adminVerbs := chosen(verb{"-verify", *verify}, verb{"-backup", *backupDir != ""},
+		verb{"-restore", *restoreDir != ""}, verb{"-prune", *prune}, verb{"-gc", *gcRun},
+		verb{"-pin", *pin != ""}, verb{"-unpin", *unpin != ""})
+	if err := checkModeFlags(explicit, *serve, clientVerbs, adminVerbs, errw); err != nil {
 		return err
 	}
 
 	if *serve {
-		return runServe(ctx, *storeDir, *addr, *workers, *slots, errw)
+		return runServe(ctx, *storeDir, *addr, rf.Workers(), *slots, errw)
 	}
-	if clientCount == 1 {
+	if len(clientVerbs) == 1 {
 		return runClient(ctx, clientArgs{
-			verb:    clientVerb,
+			verb:    clientVerbs[0],
 			addr:    *addr,
 			plan:    plan,
 			force:   !*resume,
@@ -213,10 +188,9 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		}, out, errw)
 	}
 
-	if admin.verbs() > 0 {
+	if len(adminVerbs) == 1 {
 		if *storeDir == "" {
-			fmt.Fprintln(errw, "campaign: store admin verbs need -store")
-			return errUsage
+			return cli.Usagef(errw, "campaign: store admin verbs need -store")
 		}
 		return runAdmin(*storeDir, admin, plan, shard, out)
 	}
@@ -238,7 +212,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	opts := campaign.Options{
 		Store:   st,
 		Force:   !*resume,
-		Workers: *workers,
+		Workers: rf.Workers(),
 		Shard:   shard,
 	}
 	if *progress {
@@ -249,6 +223,11 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		return err
 	}
 
+	if *outDir != "" {
+		if err := writeArtifacts(*outDir, rep.Cells); err != nil {
+			return err
+		}
+	}
 	if *jsonOut {
 		return writeJSON(out, rep)
 	}
@@ -270,6 +249,46 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	}
 	fmt.Fprintf(out, "campaign: %d cells, %d executed, %d cached (%s%s)\n",
 		rep.Total, rep.Executed, rep.Cached, where, shardNote)
+	if *outDir != "" {
+		fmt.Fprintf(out, "campaign: artifacts written to %s\n", *outDir)
+	}
+	return nil
+}
+
+// scenarioList parses -scenarios, expanding "all" to every registered
+// scenario.
+func scenarioList(s string) []string {
+	var out []string
+	for _, name := range splitNames(s) {
+		if name == "all" {
+			out = append(out, scenario.Names()...)
+			continue
+		}
+		out = append(out, name)
+	}
+	return out
+}
+
+// writeArtifacts writes each cell's text rendering and Artifact JSON
+// into dir as <cell-id>.txt and <cell-id>.json. A generated scenario's
+// name contains slashes, so its files land in subdirectories.
+func writeArtifacts(dir string, cells []campaign.CellResult) error {
+	for _, r := range cells {
+		base := filepath.Join(dir, r.Cell.ID())
+		var js bytes.Buffer
+		if err := r.Artifact.WriteJSON(&js); err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Dir(base), 0o755); err != nil {
+			return err
+		}
+		if err := os.WriteFile(base+".txt", []byte(r.Artifact.String()), 0o644); err != nil {
+			return err
+		}
+		if err := os.WriteFile(base+".json", js.Bytes(), 0o644); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -305,18 +324,40 @@ func splitNames(s string) []string {
 	return out
 }
 
-// listCells renders the dry-run grid view: every cell of this shard
-// with its store key and hit/miss status.
+// listCells renders the dry-run view: the plan's experiments and
+// scenarios, then every cell of this shard with its store key and
+// hit/miss status.
 func listCells(plan campaign.Plan, shard campaign.Shard, st store.Store, out io.Writer) error {
 	grid, err := campaign.Expand(plan)
 	if err != nil {
 		return err
 	}
-	if err := shard.Validate(); err != nil {
-		return err
+	// Expand puts experiments outermost, so first appearances keep the
+	// plan's order on both axes.
+	var exps, scns []string
+	seenExp, seenScn := map[string]bool{}, map[string]bool{}
+	for _, c := range grid {
+		if !seenExp[c.Experiment] {
+			seenExp[c.Experiment] = true
+			exps = append(exps, c.Experiment)
+		}
+		if !seenScn[c.Scenario] {
+			seenScn[c.Scenario] = true
+			scns = append(scns, c.Scenario)
+		}
+	}
+	fmt.Fprintf(out, "%-12s %s\n", "NAME", "DESCRIPTION")
+	for _, name := range exps {
+		e, _ := experiment.Lookup(name)
+		fmt.Fprintf(out, "%-12s %s\n", e.Name(), e.Describe())
+	}
+	fmt.Fprintf(out, "\n%-20s %-14s %s\n", "NAME", "FINGERPRINT", "DESCRIPTION")
+	for _, name := range scns {
+		s, _ := scenario.Lookup(name)
+		fmt.Fprintf(out, "%-20s %-14s %s\n", s.Name, s.Fingerprint(), s.Description)
 	}
 	cells := shard.Filter(grid)
-	fmt.Fprintf(out, "%-5s %-30s %-30s %s\n", "IDX", "CELL", "KEY", "STATUS")
+	fmt.Fprintf(out, "\n%-5s %-30s %-30s %s\n", "IDX", "CELL", "KEY", "STATUS")
 	hits := 0
 	for _, c := range cells {
 		status := "miss"
@@ -343,25 +384,19 @@ func writeJSON(w io.Writer, v any) error {
 // -gc-keep without -gc, or a -shard next to -verify, parses fine and
 // then does nothing, so the user believes a cap or a restriction was
 // applied when it was not. Each rejection names the conflict.
-func checkModeFlags(explicit map[string]bool, serve bool, clientVerb string, clientCount int, admin adminRequest, gcRun bool, errw io.Writer) error {
-	if (explicit["gc-keep"] || explicit["gc-max-bytes"]) && !gcRun {
-		fmt.Fprintln(errw, "campaign: -gc-keep and -gc-max-bytes configure -gc, which was not requested; add -gc or drop them")
-		return errUsage
+func checkModeFlags(explicit map[string]bool, serve bool, clientVerbs, adminVerbs []string, errw io.Writer) error {
+	if (explicit["gc-keep"] || explicit["gc-max-bytes"]) && !slices.Contains(adminVerbs, "-gc") {
+		return cli.Usagef(errw, "campaign: -gc-keep and -gc-max-bytes configure -gc, which was not requested; add -gc or drop them")
 	}
-	adminCount := admin.verbs()
 	switch {
-	case adminCount > 1:
-		fmt.Fprintln(errw, "campaign: pick exactly one admin verb (-verify, -backup, -restore, -prune, -gc, -pin, -unpin)")
-		return errUsage
-	case clientCount > 1:
-		fmt.Fprintln(errw, "campaign: pick exactly one client verb (-submit, -job, -fetch, -status, -shutdown)")
-		return errUsage
-	case serve && (clientCount > 0 || adminCount > 0):
-		fmt.Fprintln(errw, "campaign: -serve runs the daemon; it cannot be combined with client or admin verbs")
-		return errUsage
-	case clientCount > 0 && adminCount > 0:
-		fmt.Fprintf(errw, "campaign: %s talks to a daemon and %s operates on a local store; run them separately\n", clientVerb, admin.verbName())
-		return errUsage
+	case len(adminVerbs) > 1:
+		return cli.Usagef(errw, "campaign: pick exactly one admin verb (-verify, -backup, -restore, -prune, -gc, -pin, -unpin)")
+	case len(clientVerbs) > 1:
+		return cli.Usagef(errw, "campaign: pick exactly one client verb (-submit, -job, -fetch, -status, -shutdown)")
+	case serve && (len(clientVerbs) > 0 || len(adminVerbs) > 0):
+		return cli.Usagef(errw, "campaign: -serve runs the daemon; it cannot be combined with client or admin verbs")
+	case len(clientVerbs) > 0 && len(adminVerbs) > 0:
+		return cli.Usagef(errw, "campaign: %s talks to a daemon and %s operates on a local store; run them separately", clientVerbs[0], adminVerbs[0])
 	}
 
 	planFlags := []string{"experiments", "scenarios", "generate", "quick", "seed", "precision", "maxtrials", "relprecision", "sampling"}
@@ -376,18 +411,18 @@ func checkModeFlags(explicit map[string]bool, serve bool, clientVerb string, cli
 	case serve:
 		mode = "-serve"
 		add("serve", "addr", "slots", "store", "workers", "generate")
-	case clientCount == 1:
-		mode = clientVerb
-		add(strings.TrimPrefix(clientVerb, "-"), "addr", "json")
-		switch clientVerb {
+	case len(clientVerbs) == 1:
+		mode = clientVerbs[0]
+		add(strings.TrimPrefix(mode, "-"), "addr", "json")
+		switch mode {
 		case "-submit":
 			add(planFlags...)
 			add("resume", "watch")
 		case "-job":
 			add("watch")
 		}
-	case adminCount == 1:
-		mode = admin.verbName()
+	case len(adminVerbs) == 1:
+		mode = adminVerbs[0]
 		add(strings.TrimPrefix(mode, "-"), "store")
 		switch mode {
 		case "-gc":
@@ -400,7 +435,7 @@ func checkModeFlags(explicit map[string]bool, serve bool, clientVerb string, cli
 	default:
 		mode = "a campaign run"
 		add(planFlags...)
-		add("store", "resume", "shard", "workers", "list", "json", "progress")
+		add("store", "resume", "shard", "workers", "list", "json", "progress", "out")
 	}
 	var stray []string
 	for name := range explicit {
@@ -410,9 +445,8 @@ func checkModeFlags(explicit map[string]bool, serve bool, clientVerb string, cli
 	}
 	if len(stray) > 0 {
 		sort.Strings(stray)
-		fmt.Fprintf(errw, "campaign: %s %s no effect with %s; drop %s or change the mode\n",
+		return cli.Usagef(errw, "campaign: %s %s no effect with %s; drop %s or change the mode",
 			strings.Join(stray, ", "), plural(len(stray), "has", "have"), mode, plural(len(stray), "it", "them"))
-		return errUsage
 	}
 	return nil
 }
@@ -490,8 +524,7 @@ func runClient(ctx context.Context, c clientArgs, out, errw io.Writer) error {
 	case "-fetch":
 		name, fingerprint, ok := strings.Cut(c.fetch, "/")
 		if !ok || name == "" || fingerprint == "" {
-			fmt.Fprintln(errw, "campaign: -fetch wants experiment/fingerprint, e.g. -fetch fig8/0a1b2c3d4e5f")
-			return errUsage
+			return cli.Usagef(errw, "campaign: -fetch wants experiment/fingerprint, e.g. -fetch fig8/0a1b2c3d4e5f")
 		}
 		a, found, err := cl.Artifact(ctx, name, fingerprint)
 		if err != nil {
@@ -571,6 +604,23 @@ func printJob(out io.Writer, st daemon.JobStatus, jsonOut bool) error {
 	return nil
 }
 
+// verb is one mode-selecting flag and whether the invocation set it.
+type verb struct {
+	name string
+	on   bool
+}
+
+// chosen returns the names of the verbs that are set, in order.
+func chosen(verbs ...verb) []string {
+	var names []string
+	for _, v := range verbs {
+		if v.on {
+			names = append(names, v.name)
+		}
+	}
+	return names
+}
+
 // adminRequest collects the store admin flags; at most one verb may be
 // set per invocation, because each verb is a complete program.
 type adminRequest struct {
@@ -582,38 +632,6 @@ type adminRequest struct {
 	policy  store.GCPolicy
 	pin     string
 	unpin   string
-}
-
-// verbs counts how many admin verbs the invocation selected.
-func (a adminRequest) verbs() int {
-	n := 0
-	for _, on := range []bool{a.verify, a.backup != "", a.restore != "", a.prune, a.gc, a.pin != "", a.unpin != ""} {
-		if on {
-			n++
-		}
-	}
-	return n
-}
-
-// verbName names the selected admin verb for error messages.
-func (a adminRequest) verbName() string {
-	switch {
-	case a.verify:
-		return "-verify"
-	case a.backup != "":
-		return "-backup"
-	case a.restore != "":
-		return "-restore"
-	case a.prune:
-		return "-prune"
-	case a.gc:
-		return "-gc"
-	case a.pin != "":
-		return "-pin"
-	case a.unpin != "":
-		return "-unpin"
-	}
-	return ""
 }
 
 // runAdmin opens the store and dispatches the one selected admin verb.
@@ -701,9 +719,6 @@ func verifyStore(st *store.FS, out io.Writer) error {
 func pinCells(st *store.FS, plan campaign.Plan, shard campaign.Shard, label string, out io.Writer) error {
 	grid, err := campaign.Expand(plan)
 	if err != nil {
-		return err
-	}
-	if err := shard.Validate(); err != nil {
 		return err
 	}
 	cells := shard.Filter(grid)

@@ -3,10 +3,18 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"chipletqc/internal/cli"
+	"chipletqc/internal/experiment"
+	"chipletqc/internal/scenario"
+	"chipletqc/internal/store"
 )
 
 // runArgs invokes the CLI core and returns its streams.
@@ -173,8 +181,8 @@ func TestErrorPaths(t *testing.T) {
 		t.Errorf("bad shard syntax should explain the form, got %v", err)
 	}
 	out, errs, err := runArgs(t, context.Background(), "-definitely-not-a-flag")
-	if err == nil {
-		t.Error("unknown flag should return an error")
+	if !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("unknown flag: err = %v, want cli.ErrUsage", err)
 	}
 	if out != "" {
 		t.Errorf("flag diagnostics leaked into the report stream:\n%s", out)
@@ -370,5 +378,164 @@ func TestGenerateFlagRunsAGeneratedGrid(t *testing.T) {
 	if _, _, err := runArgs(t, context.Background(),
 		"-quick", "-generate", "topos=;sigmas=0.004"); err == nil {
 		t.Error("empty -generate topos should fail")
+	}
+}
+
+// readArtifact decodes one -out JSON file.
+func readArtifact(t *testing.T, path string) experiment.Artifact {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing artifact: %v", err)
+	}
+	var a experiment.Artifact
+	if err := json.Unmarshal(data, &a); err != nil {
+		t.Fatalf("%s is not a valid Artifact: %v", path, err)
+	}
+	return a
+}
+
+// TestOutWritesSubsetArtifacts pins -out: each selected cell leaves a
+// text rendering and a complete Artifact JSON, and nothing else.
+func TestOutWritesSubsetArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	out, errs, err := runArgs(t, context.Background(),
+		"-quick", "-experiments", "fig2,eq1", "-store", "", "-out", dir)
+	if err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, errs)
+	}
+	if !strings.Contains(out, "artifacts written to "+dir) {
+		t.Errorf("summary should name the output directory:\n%s", out)
+	}
+	for _, name := range []string{"fig2", "eq1"} {
+		id := name + "@paper"
+		if _, err := os.Stat(filepath.Join(dir, id+".txt")); err != nil {
+			t.Errorf("missing text artifact: %v", err)
+		}
+		a := readArtifact(t, filepath.Join(dir, id+".json"))
+		if a.Name != name || a.Fingerprint == "" || a.Payload == nil {
+			t.Errorf("%s.json incomplete: %+v", id, a)
+		}
+	}
+	entries, _ := os.ReadDir(dir)
+	if len(entries) != 4 {
+		t.Errorf("expected 4 artifact files, found %d", len(entries))
+	}
+}
+
+// TestOutRecordsScenario: an artifact written under a non-paper
+// scenario records that scenario.
+func TestOutRecordsScenario(t *testing.T) {
+	dir := t.TempDir()
+	if _, errs, err := runArgs(t, context.Background(),
+		"-quick", "-experiments", "eq1", "-scenarios", "future-fab", "-store", "", "-out", dir); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, errs)
+	}
+	a := readArtifact(t, filepath.Join(dir, "eq1@future-fab.json"))
+	if a.Scenario != "future-fab" || a.ScenarioFingerprint == "" {
+		t.Errorf("artifact does not record the scenario: %+v", a)
+	}
+}
+
+// TestOutMatchesStore: the JSON -out writes for a cell decodes to the
+// artifact the store holds under that cell's key, both when the cell
+// executes and when a warm run serves it from the store.
+func TestOutMatchesStore(t *testing.T) {
+	storeDir := filepath.Join(t.TempDir(), "store")
+	for _, pass := range []string{"cold", "warm"} {
+		dir := filepath.Join(t.TempDir(), pass)
+		if _, errs, err := runArgs(t, context.Background(),
+			"-quick", "-experiments", "fig2", "-store", storeDir, "-out", dir); err != nil {
+			t.Fatalf("%s run: %v\nstderr: %s", pass, err, errs)
+		}
+		written := readArtifact(t, filepath.Join(dir, "fig2@paper.json"))
+		st, err := store.Open(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, ok, err := st.Get("fig2", written.Fingerprint)
+		st.Close()
+		if err != nil || !ok {
+			t.Fatalf("%s: store.Get(fig2, %s) = ok %v, err %v", pass, written.Fingerprint, ok, err)
+		}
+		if !reflect.DeepEqual(written, stored) {
+			t.Errorf("%s: -out JSON differs from the stored artifact:\nout:   %+v\nstore: %+v", pass, written, stored)
+		}
+	}
+}
+
+// TestListShowsExperimentCatalog pins -list: the experiment catalog
+// appears above the cell grid, and -scenarios all expands the grid to
+// every experiment under every scenario.
+func TestListShowsExperimentCatalog(t *testing.T) {
+	out, _, err := runArgs(t, context.Background(), "-list", "-scenarios", "all", "-store", "")
+	if err != nil {
+		t.Fatalf("list: %v", err)
+	}
+	for _, name := range []string{"fig1", "fig4", "fig8", "fig9", "fig10", "table2", "eq1"} {
+		if !strings.Contains(out, name) {
+			t.Errorf("-list output missing %q:\n%s", name, out)
+		}
+	}
+	if want := len(experiment.Names()) * len(scenario.Names()); !strings.Contains(out, fmt.Sprintf("(grid %d)", want)) {
+		t.Errorf("-scenarios all should expand to a %d-cell grid:\n%s", want, out)
+	}
+}
+
+// TestListShowsScenarioCatalog pins -list with -scenarios all: every
+// registered scenario is listed with its fingerprint.
+func TestListShowsScenarioCatalog(t *testing.T) {
+	out, _, err := runArgs(t, context.Background(), "-list", "-scenarios", "all", "-store", "")
+	if err != nil {
+		t.Fatalf("list: %v", err)
+	}
+	for _, name := range []string{"paper", "future-fab", "improved-links", "relaxed-thresholds", "FINGERPRINT"} {
+		if !strings.Contains(out, name) {
+			t.Errorf("-list output missing %q:\n%s", name, out)
+		}
+	}
+	for _, s := range scenario.All() {
+		if !strings.Contains(out, s.Fingerprint()) {
+			t.Errorf("-list output missing scenario %s's fingerprint %s", s.Name, s.Fingerprint())
+		}
+	}
+}
+
+// TestUnknownExperiment: naming an unregistered experiment fails and
+// the error lists the known names.
+func TestUnknownExperiment(t *testing.T) {
+	_, _, err := runArgs(t, context.Background(), "-experiments", "fig99", "-store", "")
+	if err == nil || !strings.Contains(err.Error(), "unknown experiment") ||
+		!strings.Contains(err.Error(), "fig1") {
+		t.Errorf("err = %v, want unknown-experiment error listing known names", err)
+	}
+}
+
+// TestUnknownScenario: naming an unregistered scenario fails and the
+// error lists the known names.
+func TestUnknownScenario(t *testing.T) {
+	_, _, err := runArgs(t, context.Background(), "-scenarios", "warp-core", "-store", "")
+	if err == nil || !strings.Contains(err.Error(), "unknown scenario") ||
+		!strings.Contains(err.Error(), "paper") {
+		t.Errorf("err = %v, want unknown-scenario error listing known names", err)
+	}
+}
+
+// TestBadFlagIsUsageError: an unknown flag is reported as cli.ErrUsage
+// so the binary exits with the usage status.
+func TestBadFlagIsUsageError(t *testing.T) {
+	if _, _, err := runArgs(t, context.Background(), "-nope"); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("err = %v, want cli.ErrUsage", err)
+	}
+}
+
+// TestCancelledContext pins ctx propagation: a cancelled run returns
+// context.Canceled instead of completing.
+func TestCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := runArgs(t, ctx, "-quick", "-experiments", "fig8", "-store", "", "-out", t.TempDir())
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

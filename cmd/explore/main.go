@@ -33,17 +33,13 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
-	"sort"
 	"strings"
-	"syscall"
 
 	"chipletqc/internal/campaign"
+	"chipletqc/internal/cli"
 	"chipletqc/internal/daemon"
 	"chipletqc/internal/experiment"
 	"chipletqc/internal/generate"
@@ -52,27 +48,13 @@ import (
 	"chipletqc/internal/store"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "explore:", strings.TrimPrefix(err.Error(), "explore: "))
-		os.Exit(1)
-	}
-}
-
-// errUsage marks argument errors the FlagSet has already reported to
-// the error stream; main exits 2 without repeating them.
-var errUsage = errors.New("usage error")
+func main() { cli.Main("explore", run) }
 
 // run executes the explorer against args, writing the frontier to out
 // and the run summary to errw. It is the testable core of the binary.
 func run(ctx context.Context, args []string, out, errw io.Writer) error {
-	fs := flag.NewFlagSet("explore", flag.ContinueOnError)
-	fs.SetOutput(errw)
+	fs := cli.NewFlagSet("explore", errw)
+	rf := cli.Bind(fs, cli.Quick)
 	var (
 		grid       = fs.String("grid", "", "compact grid spec `topos=...;sigmas=...;thresholds=...;links=...;base=...` (alternative to the axis flags)")
 		topos      = fs.String("topos", "", "comma-separated topology specs, e.g. hex-3x3-q16,heavy-hex-2x2-q20,stack3d-2x2x3-q9")
@@ -83,19 +65,13 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		storeDir   = fs.String("store", "explore-store", "artifact store directory; empty disables persistence")
 		resume     = fs.Bool("resume", true, "serve cells already in the store instead of re-simulating; -resume=false forces re-execution")
 		shardSpec  = fs.String("shard", "", "run only shard i of n of the cell grid, e.g. 0/2 (default: everything)")
-		quick      = fs.Bool("quick", false, "reduced Monte Carlo batches (smoke scale)")
-		seed       = fs.Int64("seed", 1, "base RNG seed for every cell")
-		workers    = fs.Int("workers", 0, "total worker budget across cells (0 = all CPU cores; results identical either way)")
 		list       = fs.Bool("list", false, "print the expanded cell grid with store hit/miss status and exit")
 		jsonOut    = fs.Bool("json", false, "write the frontier as JSON to stdout instead of a table")
 		progress   = fs.Bool("progress", false, "stream per-cell events to the error stream")
 		addr       = fs.String("addr", "", "daemon `address`: run cells on a campaign daemon instead of locally (it must have been started with the same -generate grid)")
 	)
 	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errUsage
+		return cli.ParseError(err)
 	}
 
 	baseName, axes, err := parseGrid(*grid, *topos, *sigmas, *thresholds, *links, *base, fs, errw)
@@ -126,8 +102,8 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	plan := campaign.Plan{
 		Experiments: []string{experiment.GenYieldName},
 		Scenarios:   names,
-		Seed:        *seed,
-		Quick:       *quick,
+		Seed:        rf.Seed(),
+		Quick:       rf.Quick(),
 	}
 	cells, err := campaign.Expand(plan)
 	if err != nil {
@@ -156,13 +132,14 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	}
 
 	if *list {
-		return listCells(cells, shard, st, out)
+		listCells(cells, shard, st, out)
+		return nil
 	}
 
 	opts := campaign.Options{
 		Store:   st,
 		Force:   !*resume,
-		Workers: *workers,
+		Workers: rf.Workers(),
 		Shard:   shard,
 	}
 	if *progress {
@@ -235,14 +212,12 @@ func parseGrid(grid, topos, sigmas, thresholds, links, base string, fs *flag.Fla
 			}
 		})
 		if axisSet {
-			fmt.Fprintln(errw, "explore: -grid already carries the axes; drop -topos/-sigmas/-thresholds/-links/-base")
-			return "", generate.Axes{}, errUsage
+			return "", generate.Axes{}, cli.Usagef(errw, "explore: -grid already carries the axes; drop -topos/-sigmas/-thresholds/-links/-base")
 		}
 		return generate.ParseAxesSpec(grid)
 	}
 	if topos == "" {
-		fmt.Fprintln(errw, "explore: no grid; set -topos (e.g. -topos hex-3x3-q16) or -grid")
-		return "", generate.Axes{}, errUsage
+		return "", generate.Axes{}, cli.Usagef(errw, "explore: no grid; set -topos (e.g. -topos hex-3x3-q16) or -grid")
 	}
 	var spec strings.Builder
 	fmt.Fprintf(&spec, "topos=%s", topos)
@@ -352,12 +327,8 @@ func writeFrontier(out io.Writer, plan campaign.Plan, points []generate.Point, p
 
 // listCells renders the dry-run grid view: every cell of this shard
 // with its store key and hit/miss status.
-func listCells(cells []campaign.Cell, shard campaign.Shard, st store.Store, out io.Writer) error {
-	if err := shard.Validate(); err != nil {
-		return err
-	}
+func listCells(cells []campaign.Cell, shard campaign.Shard, st store.Store, out io.Writer) {
 	mine := shard.Filter(cells)
-	sort.Slice(mine, func(i, j int) bool { return mine[i].Index < mine[j].Index })
 	fmt.Fprintf(out, "%-5s %-42s %-30s %s\n", "IDX", "SCENARIO", "KEY", "STATUS")
 	hits := 0
 	for _, c := range mine {
@@ -369,5 +340,4 @@ func listCells(cells []campaign.Cell, shard campaign.Shard, st store.Store, out 
 		fmt.Fprintf(out, "%-5d %-42s %-30s %s\n", c.Index, c.Scenario, c.Key(), status)
 	}
 	fmt.Fprintf(out, "%d cells (grid %d), %d store hits\n", len(mine), len(cells), hits)
-	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"chipletqc/internal/cli"
 )
 
 // TestRunSingleSmoke exercises the single-system assembly mode at tiny
@@ -59,5 +61,27 @@ func TestRunRejectsBadChiplet(t *testing.T) {
 	var out, errs strings.Builder
 	if err := run(context.Background(), []string{"-chiplet", "33", "-batch", "10"}, &out, &errs); err == nil {
 		t.Error("non-catalog chiplet size should return an error")
+	}
+}
+
+// TestRunRejectsEmptyGrid: a grid with no rows is an error, not a
+// panic inside assembly.
+func TestRunRejectsEmptyGrid(t *testing.T) {
+	var out, errs strings.Builder
+	err := run(context.Background(), []string{"-rows", "0", "-cols", "2", "-batch", "50"}, &out, &errs)
+	if err == nil || !strings.Contains(err.Error(), "0x2") {
+		t.Errorf("err = %v, want the grid validation error", err)
+	}
+}
+
+// TestRunRejectsNegativeBatch: -batch 0 means the scenario's policy;
+// a negative batch is a usage error, not a silent 0.
+func TestRunRejectsNegativeBatch(t *testing.T) {
+	var out, errs strings.Builder
+	if err := run(context.Background(), []string{"-batch", "-5"}, &out, &errs); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("err = %v, want cli.ErrUsage", err)
+	}
+	if !strings.Contains(errs.String(), "-batch") {
+		t.Errorf("error stream should name -batch:\n%s", errs.String())
 	}
 }

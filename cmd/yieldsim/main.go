@@ -17,77 +17,54 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
-	"syscall"
 
 	analyticpkg "chipletqc/internal/analytic"
+	"chipletqc/internal/cli"
 	"chipletqc/internal/fab"
 	"chipletqc/internal/report"
-	"chipletqc/internal/scenario"
 	"chipletqc/internal/topo"
 	"chipletqc/internal/yield"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "yieldsim:", err)
-		os.Exit(1)
-	}
-}
-
-// errUsage marks argument errors the FlagSet has already reported to
-// the error stream; main exits 2 without repeating them.
-var errUsage = errors.New("usage error")
+func main() { cli.Main("yieldsim", run) }
 
 // run executes the tool against args, writing reports to out. It is the
 // testable core of the binary: flag errors and report failures surface
 // as returned errors instead of process exits.
 func run(ctx context.Context, args []string, out, errw io.Writer) error {
-	fs := flag.NewFlagSet("yieldsim", flag.ContinueOnError)
-	fs.SetOutput(errw)
+	fs := cli.NewFlagSet("yieldsim", errw)
+	rf := cli.Bind(fs, cli.Scenario|cli.TrialPolicy)
 	var (
-		scen      = fs.String("scenario", scenario.PaperName, "device scenario to simulate (see `figures -scenarios`)")
-		batch     = fs.Int("batch", 1000, "devices per Monte Carlo batch")
-		sigma     = fs.Float64("sigma", 0, "fabrication precision in GHz (0 = sweep the paper's three values)")
-		step      = fs.Float64("step", 0, "frequency plan step in GHz (0 = sweep 0.04-0.07)")
-		maxQ      = fs.Int("max", 1000, "largest device size in qubits")
-		seed      = fs.Int64("seed", 1, "RNG seed")
-		workers   = fs.Int("workers", 0, "parallel workers (0 = all CPU cores; results identical either way)")
-		precision = fs.Float64("precision", 0, "adaptive mode: stop each simulation once the yield's 95% CI half-width reaches this (0 = the scenario's policy; negative forces fixed batch)")
-		maxTrials = fs.Int("maxtrials", 0, "adaptive mode trial budget (0 = the scenario's policy, then batch; negative resets)")
-		relPrec   = fs.Float64("relprecision", 0, "adaptive mode relative target: stop once the CI half-width reaches this fraction of the yield (0 = the scenario's policy; negative disables)")
-		smpl      = fs.String("sampling", "", "yield estimator: plain or importance (\"\" = the scenario's policy; none = unlabelled plain counting)")
-		chiplets  = fs.Bool("chiplets", false, "report catalog chiplet yields instead of the size sweep")
-		analytic  = fs.Bool("analytic", false, "add the closed-form yield estimate next to Monte Carlo")
-		csv       = fs.Bool("csv", false, "emit CSV instead of an aligned table")
+		batch    = fs.Int("batch", 1000, "devices per Monte Carlo batch (0 = the scenario's policy)")
+		sigma    = fs.Float64("sigma", 0, "fabrication precision in GHz (0 = sweep the paper's three values)")
+		step     = fs.Float64("step", 0, "frequency plan step in GHz (0 = sweep 0.04-0.07)")
+		maxQ     = fs.Int("max", 1000, "largest device size in qubits")
+		chiplets = fs.Bool("chiplets", false, "report catalog chiplet yields instead of the size sweep")
+		analytic = fs.Bool("analytic", false, "add the closed-form yield estimate next to Monte Carlo")
+		csv      = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	)
 	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errUsage
+		return cli.ParseError(err)
+	}
+	if *batch < 0 {
+		return cli.Usagef(errw, "yieldsim: -batch %d is negative (0 = the scenario's policy)", *batch)
 	}
 
-	scn, err := scenario.Lookup(*scen)
+	scn, err := rf.Scenario()
 	if err != nil {
 		return err
 	}
-	cfg := scn.YieldConfig(*batch, *seed)
-	cfg.Workers = *workers
-	// 0 inherits the scenario's trial policy; negative forces fixed-batch.
-	cfg.ApplyTrialPolicyOverrides(*precision, *maxTrials)
-	cfg.ApplySamplingOverrides(*smpl, *relPrec)
-	if err := cfg.Sampling.Validate(); err != nil {
+	if *batch == 0 {
+		*batch = scn.Trials.MonoBatch
+		if *chiplets {
+			*batch = scn.Trials.ChipletBatch
+		}
+	}
+	cfg := scn.YieldConfig(*batch, rf.Seed())
+	cfg.Workers = rf.Workers()
+	if err := rf.Policy().Apply(&cfg); err != nil {
 		return err
 	}
 
@@ -108,7 +85,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 			tb.Add(r.Qubits, report.F(r.Fraction(), 4), r.Batch,
 				report.F(r.CILo, 4), report.F(r.CIHi, 4))
 		}
-		return emit(tb, out, *csv)
+		return cli.Emit(tb, out, *csv)
 	}
 
 	steps := []float64{0.04, 0.05, 0.06, 0.07}
@@ -147,7 +124,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 			tb.Add(row...)
 		}
 	}
-	if err := emit(tb, out, *csv); err != nil {
+	if err := cli.Emit(tb, out, *csv); err != nil {
 		return err
 	}
 
@@ -171,12 +148,5 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		}
 	}
 	fmt.Fprintln(out)
-	return emit(best, out, *csv)
-}
-
-func emit(tb *report.Table, out io.Writer, csv bool) error {
-	if csv {
-		return tb.WriteCSV(out)
-	}
-	return tb.WriteText(out)
+	return cli.Emit(best, out, *csv)
 }

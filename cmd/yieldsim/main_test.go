@@ -2,8 +2,13 @@ package main
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"chipletqc/internal/cli"
+	"chipletqc/internal/scenario"
 )
 
 // TestRunSweepSmoke is a tiny end-to-end run of the default Fig. 4 sweep
@@ -103,5 +108,23 @@ func TestRunHelpIsNotAnError(t *testing.T) {
 	}
 	if !strings.Contains(errs.String(), "-workers") {
 		t.Errorf("usage should document -workers:\n%s", errs.String())
+	}
+}
+
+// TestRunBatchZeroIsScenarioPolicy pins -batch 0: it runs the
+// scenario's batch instead of reporting zero-trial yields, and a
+// negative batch is a usage error.
+func TestRunBatchZeroIsScenarioPolicy(t *testing.T) {
+	var out, errs strings.Builder
+	if err := run(context.Background(), []string{"-batch", "0", "-max", "20", "-sigma", "0.014", "-step", "0.06", "-csv"}, &out, &errs); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	want := fmt.Sprintf(",%d,", scenario.Paper().Trials.MonoBatch)
+	if strings.Contains(out.String(), ",0,0.0000,1.0000") || !strings.Contains(out.String(), want) {
+		t.Errorf("-batch 0 should run the paper scenario's %d trials:\n%s", scenario.Paper().Trials.MonoBatch, out.String())
+	}
+	out.Reset()
+	if err := run(context.Background(), []string{"-batch", "-1"}, &out, &errs); !errors.Is(err, cli.ErrUsage) {
+		t.Errorf("-batch -1: err = %v, want cli.ErrUsage", err)
 	}
 }

@@ -160,7 +160,7 @@ func ExampleSimulateYield() {
 
 // ExampleLookupExperiment runs a paper workload by name through the
 // Experiment registry and renders its self-describing artifact — the
-// same machinery behind `figures -only fig2 -json`.
+// same machinery behind `campaign -experiments fig2 -out results`.
 func ExampleLookupExperiment() {
 	exp, ok := chipletqc.LookupExperiment("fig2")
 	if !ok {

@@ -116,7 +116,10 @@ type Stats struct {
 // candidate subsets; a cancelled ctx returns ctx.Err() and discards the
 // partial assembly.
 func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) ([]*AssembledMCM, Stats, error) {
-	dev := mcm.MustBuild(grid)
+	dev, err := mcm.Build(grid)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	checker := collision.NewChecker(dev, cfg.Params)
 	chips := grid.Chips()
 	nPer := b.Chip.N

@@ -1,8 +1,10 @@
 package assembly
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"chipletqc/internal/mcm"
@@ -142,6 +144,17 @@ func TestAssembleBuildsCollisionFreeMCMs(t *testing.T) {
 	}
 	if st.PostAssemblyYield > st.AssemblyYield {
 		t.Error("post-assembly yield cannot exceed assembly yield")
+	}
+}
+
+// TestAssembleRejectsInvalidGrid: a grid with no rows is an error, not
+// a panic.
+func TestAssembleRejectsInvalidGrid(t *testing.T) {
+	spec := topo.ChipSpec{DenseRows: 2, Width: 8}
+	b := testBatch(t, spec, 20)
+	_, _, err := Assemble(context.Background(), b, mcm.Grid{Rows: 0, Cols: 2, Spec: spec}, testAssembleConfig(5))
+	if err == nil || !strings.Contains(err.Error(), "0x2") {
+		t.Errorf("err = %v, want the grid validation error", err)
 	}
 }
 

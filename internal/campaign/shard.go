@@ -22,7 +22,8 @@ type Shard struct {
 }
 
 // ParseShard parses the CLI form "i/n" (e.g. "0/2"). The empty string
-// is the unsharded zero value.
+// and "0/1" are the unsharded zero value, so ParseShard(sh.String())
+// returns sh for every parsed shard.
 func ParseShard(s string) (Shard, error) {
 	if s == "" {
 		return Shard{}, nil
@@ -40,7 +41,7 @@ func ParseShard(s string) (Shard, error) {
 		return Shard{}, fmt.Errorf("campaign: shard count %d < 1", n)
 	}
 	sh := Shard{Index: i, Count: n}
-	if err := sh.Validate(); err != nil {
+	if err := sh.Validate(); err != nil || n == 1 {
 		return Shard{}, err
 	}
 	return sh, nil

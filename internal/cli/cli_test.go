@@ -1,0 +1,92 @@
+package cli
+
+import (
+	"errors"
+	"io"
+	"strings"
+	"testing"
+
+	"chipletqc/internal/sampling"
+	"chipletqc/internal/scenario"
+)
+
+// TestBindDeclaresOnlyTheSelectedFlags: -seed and -workers are always
+// bound; the optional groups appear only when selected, and unbound
+// flags read as their defaults.
+func TestBindDeclaresOnlyTheSelectedFlags(t *testing.T) {
+	fs := NewFlagSet("t", io.Discard)
+	r := Bind(fs, Quick)
+	for _, name := range []string{"seed", "workers", "quick"} {
+		if fs.Lookup(name) == nil {
+			t.Errorf("-%s not bound", name)
+		}
+	}
+	for _, name := range []string{"scenario", "precision", "maxtrials", "relprecision", "sampling"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("-%s bound without being selected", name)
+		}
+	}
+	if err := fs.Parse([]string{"-seed", "7", "-quick"}); err != nil {
+		t.Fatal(err)
+	}
+	if r.Seed() != 7 || !r.Quick() || r.Workers() != 0 || r.Policy() != (Policy{}) {
+		t.Errorf("parsed run flags wrong: seed %d quick %v workers %d policy %+v", r.Seed(), r.Quick(), r.Workers(), r.Policy())
+	}
+	if s, err := r.Scenario(); err != nil || s.Name != scenario.PaperName {
+		t.Errorf("unbound -scenario = %q (err %v), want the paper default", s.Name, err)
+	}
+}
+
+// TestEvalLayersTheTrialPolicy: the flags reach the experiment config
+// through the yield sentinels, and an unknown estimator is an error.
+func TestEvalLayersTheTrialPolicy(t *testing.T) {
+	fs := NewFlagSet("t", io.Discard)
+	r := Bind(fs, Scenario|TrialPolicy)
+	if err := fs.Parse([]string{"-scenario", "tight-thresholds", "-workers", "3",
+		"-precision", "0.02", "-maxtrials", "-1", "-sampling", "none"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := r.Eval()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.ResolvedScenario().Name != "tight-thresholds" || cfg.Workers != 3 ||
+		cfg.Precision != 0.02 || cfg.MaxTrials != 0 || cfg.Sampling != (sampling.Spec{}) {
+		t.Errorf("Eval config wrong: scenario %s workers %d precision %g maxtrials %d sampling %+v",
+			cfg.ResolvedScenario().Name, cfg.Workers, cfg.Precision, cfg.MaxTrials, cfg.Sampling)
+	}
+	if cfg.RelPrecision != cfg.ResolvedScenario().Trials.RelPrecision {
+		t.Errorf("-relprecision 0 should inherit the scenario's %g, got %g",
+			cfg.ResolvedScenario().Trials.RelPrecision, cfg.RelPrecision)
+	}
+
+	fs = NewFlagSet("t", io.Discard)
+	r = Bind(fs, Scenario|TrialPolicy)
+	if err := fs.Parse([]string{"-sampling", "bogus"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Eval(); err == nil {
+		t.Error("an unknown -sampling method should fail Eval")
+	}
+}
+
+// TestParseErrorAndUsagef pins the exit-code mapping: -h is success,
+// any other parse failure and every Usagef is ErrUsage.
+func TestParseErrorAndUsagef(t *testing.T) {
+	var errw strings.Builder
+	fs := NewFlagSet("t", &errw)
+	Bind(fs, 0)
+	if err := ParseError(fs.Parse([]string{"-h"})); err != nil {
+		t.Errorf("-h: %v, want nil", err)
+	}
+	if !strings.Contains(errw.String(), "-workers") {
+		t.Errorf("usage should go to the error stream:\n%s", errw.String())
+	}
+	if err := ParseError(fs.Parse([]string{"-nope"})); !errors.Is(err, ErrUsage) {
+		t.Errorf("bad flag: %v, want ErrUsage", err)
+	}
+	errw.Reset()
+	if err := Usagef(&errw, "t: -x %d is bad", 3); !errors.Is(err, ErrUsage) || errw.String() != "t: -x 3 is bad\n" {
+		t.Errorf("Usagef = %v, wrote %q", err, errw.String())
+	}
+}

@@ -90,8 +90,8 @@ type Config struct {
 	// affects results.
 	Progress func(Event)
 
-	// Registry knobs: the per-experiment parameters the cmd/figures
-	// catalog passed positionally before the Experiment registry
+	// Registry knobs: the per-experiment parameters the figure
+	// writers passed positionally before the Experiment registry
 	// existed. Entry points that take these values as explicit
 	// arguments (Fig4, Fig6, Fig10) ignore the Config fields; the
 	// registry wrappers read them. Zero values fall back to the

@@ -12,8 +12,8 @@ import (
 
 // The catalog registers one experiment per figure/table of the paper's
 // evaluation section, in paper order. Each run function builds the
-// artifact payload table (the same rendering cmd/figures used to carry
-// inline) and reports the Monte Carlo trials it scheduled.
+// artifact payload table (the rendering the per-figure CLI writers once
+// carried inline) and reports the Monte Carlo trials it scheduled.
 //
 // Per-experiment scale knobs come from the eval.Config registry fields
 // (Fig4MaxQubits, Fig6Batch, Fig6MaxDim, Fig10Samples); everything else
@@ -196,9 +196,9 @@ func init() {
 			// advantage. Experiments are deliberately independent (any
 			// subset is runnable by name), so this re-runs both
 			// pipelines — restricted to the square systems and the
-			// state-of-art ratio, so a full-catalog `figures` run pays
+			// state-of-art ratio, so a full-catalog campaign pays
 			// roughly the square-grid slice of fig9/fig10 again, not a
-			// full doubling. Run `-only fig10corr` alone when only the
+			// full doubling. Run `-experiments fig10corr` alone when only the
 			// correlation is wanted.
 			cells, err := eval.Fig9StateOfArt(ctx, cfg)
 			if err != nil {

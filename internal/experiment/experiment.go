@@ -4,14 +4,14 @@
 // a self-describing, JSON-serializable Artifact.
 //
 // The design replaces the previous facade of ~40 free functions and the
-// ad-hoc per-figure writers in cmd/figures with three pieces:
+// ad-hoc per-figure writers of the CLIs with three pieces:
 //
 //   - Experiment: a named unit of work with a ctx-first Run method;
 //   - Artifact: its machine-consumable result (name, seed, config
 //     fingerprint, wall time, trials used, payload table) with a stable
 //     text rendering;
 //   - the registry (Register/Lookup/All): the catalog the CLIs and the
-//     public facade enumerate (`figures -list`, `figures -only fig8`).
+//     public facade enumerate (`campaign -list`, `campaign -experiments fig8`).
 //
 // Every paper figure/table registers itself in catalog.go; external
 // callers can Register additional experiments through the facade.

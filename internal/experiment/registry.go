@@ -6,8 +6,8 @@ import (
 )
 
 // The registry maps experiment names to implementations. Registration
-// order is preserved so listings and the default `figures` run follow
-// the paper's figure order.
+// order is preserved so listings and a default (all-experiment)
+// campaign follow the paper's figure order.
 var (
 	regMu    sync.RWMutex
 	registry = map[string]Experiment{}

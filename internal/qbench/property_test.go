@@ -21,7 +21,7 @@ func TestAdderPropertyExhaustive(t *testing.T) {
 		c := circuit.Decompose(Adder(n, a, b))
 		s := qsim.Run(c)
 		want := a + b
-		sumQs, carry := AdderSumQubits(n)
+		sumQs, carry := adderSumQubits(n)
 		qs := append(append([]int(nil), sumQs...), carry)
 		bits := make([]int, len(qs))
 		for i := 0; i < m; i++ {
@@ -100,7 +100,7 @@ func TestPrimacyDepthScaling(t *testing.T) {
 // produces its expected syndrome signature.
 func TestBitCodeSyndromePropertySingleErrors(t *testing.T) {
 	const n = 9 // data 0,2,4,6,8; ancilla 1,3,5,7
-	anc := BitCodeSyndromeQubits(n)
+	anc := bitCodeSyndromeQubits(n)
 	for dataBit := 0; dataBit < (n+1)/2; dataBit++ {
 		c := BitCode(n, 1<<uint(dataBit))
 		s := qsim.Run(c)

@@ -191,16 +191,6 @@ func Adder(n int, aVal, bVal uint64) *circuit.Circuit {
 // AdderOperandBits returns the operand width m of an n-qubit Adder.
 func AdderOperandBits(n int) int { return (n - 2) / 2 }
 
-// AdderSumQubits returns the qubit indices holding the m-bit sum (the b
-// register) and the carry-out qubit of an n-qubit Adder.
-func AdderSumQubits(n int) (sum []int, carry int) {
-	m := AdderOperandBits(n)
-	for i := 0; i < m; i++ {
-		sum = append(sum, 2+2*i)
-	}
-	return sum, 2*m + 1
-}
-
 // Primacy builds a quantum-primacy style random circuit: `depth` layers
 // of random sqrt-rotation single-qubit gates (never repeating on a qubit
 // between consecutive layers) interleaved with CZ couplings on an
@@ -265,16 +255,6 @@ func BitCode(n int, dataPrep uint64) *circuit.Circuit {
 		}
 	}
 	return c
-}
-
-// BitCodeSyndromeQubits returns the ancilla indices of an n-qubit
-// BitCode circuit.
-func BitCodeSyndromeQubits(n int) []int {
-	var out []int
-	for a := 1; a < n; a += 2 {
-		out = append(out, a)
-	}
-	return out
 }
 
 // TFIM builds a first-order Trotterised simulation of the 1-D transverse

@@ -133,7 +133,7 @@ func TestAdderAddsCorrectly(t *testing.T) {
 		n := 8
 		c := circuit.Decompose(Adder(n, tc.a, tc.b))
 		s := qsim.Run(c)
-		sumQs, carry := AdderSumQubits(n)
+		sumQs, carry := adderSumQubits(n)
 		m := AdderOperandBits(n)
 		want := tc.a + tc.b
 		bits := make([]int, len(sumQs))
@@ -194,7 +194,7 @@ func TestBitCodeCleanSyndromeIsZero(t *testing.T) {
 	// No data preparation: all syndromes read 0.
 	c := BitCode(7, 0)
 	s := qsim.Run(c)
-	anc := BitCodeSyndromeQubits(7)
+	anc := bitCodeSyndromeQubits(7)
 	bits := make([]int, len(anc))
 	if p := s.MarginalProbability(anc, bits); math.Abs(p-1) > tol {
 		t.Errorf("clean syndrome P = %v, want 1", p)
@@ -205,7 +205,7 @@ func TestBitCodeDetectsInjectedError(t *testing.T) {
 	// Flipping data qubit 2 (dataPrep bit 1) fires ancillas 1 and 3.
 	c := BitCode(7, 0b010)
 	s := qsim.Run(c)
-	anc := BitCodeSyndromeQubits(7) // [1 3 5]
+	anc := bitCodeSyndromeQubits(7) // [1 3 5]
 	if p := s.MarginalProbability(anc, []int{1, 1, 0}); math.Abs(p-1) > tol {
 		t.Errorf("syndrome for middle-qubit error = %v, want [1 1 0] with P=1", p)
 	}
@@ -288,4 +288,24 @@ func TestSuiteDeterministic(t *testing.T) {
 			t.Errorf("%s: non-deterministic generation", s.Name)
 		}
 	}
+}
+
+// adderSumQubits returns the qubit indices holding the m-bit sum (the b
+// register) and the carry-out qubit of an n-qubit Adder.
+func adderSumQubits(n int) (sum []int, carry int) {
+	m := AdderOperandBits(n)
+	for i := 0; i < m; i++ {
+		sum = append(sum, 2+2*i)
+	}
+	return sum, 2*m + 1
+}
+
+// bitCodeSyndromeQubits returns the ancilla indices of an n-qubit
+// BitCode circuit.
+func bitCodeSyndromeQubits(n int) []int {
+	var out []int
+	for a := 1; a < n; a += 2 {
+		out = append(out, a)
+	}
+	return out
 }

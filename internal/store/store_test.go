@@ -77,6 +77,23 @@ func TestParseKeyRejectsNonKeys(t *testing.T) {
 	}
 }
 
+// FuzzParseKey pins that ParseKey only accepts strings Key produces:
+// every accepted key rebuilds from its parts.
+func FuzzParseKey(f *testing.F) {
+	for _, k := range []string{"fig8-abc123def456", "tight-thresholds-sweep-00ff", "fig8-", "-abc", ".hidden-abc123", "a/b-ff", "fig8-NOTHEX"} {
+		f.Add(k)
+	}
+	f.Fuzz(func(t *testing.T, k string) {
+		name, fingerprint, err := store.ParseKey(k)
+		if err != nil {
+			return
+		}
+		if got := store.Key(name, fingerprint); got != k {
+			t.Fatalf("ParseKey(%q) = (%q, %q), which rebuilds to %q", k, name, fingerprint, got)
+		}
+	})
+}
+
 // TestFSRecordFileLayout pins the transparent on-disk contract: the
 // record lands in the store directory as world-readable JSON.
 func TestFSRecordFileLayout(t *testing.T) {

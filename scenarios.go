@@ -23,8 +23,9 @@ import (
 //	exp, _ := chipletqc.LookupExperiment("fig8")
 //	artifact, _ := exp.Run(ctx, cfg) // records scenario name + fingerprint
 //
-// All four CLIs address registered scenarios by name (-scenario), and
-// `figures -scenarios` lists them.
+// The CLIs address registered scenarios by name (-scenario, or a
+// campaign's -scenarios list), and `campaign -list -scenarios all`
+// lists them.
 type (
 	// Scenario bundles everything that defines a simulated device world.
 	Scenario = scenario.Scenario
