@@ -188,6 +188,7 @@ func BenchmarkFig10ApplicationFidelity(b *testing.B) {
 		{Rows: 2, Cols: 2, Spec: spec40},
 	}
 	var pts []Fig10Point
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
 		pts, err = Fig10(context.Background(), cfg, grids, 2)

@@ -3,7 +3,6 @@ package assembly
 import (
 	"context"
 	"math/rand"
-	"sort"
 
 	"chipletqc/internal/collision"
 	"chipletqc/internal/graph"
@@ -65,12 +64,7 @@ func (m *AssembledMCM) linkEdges() []graph.Edge {
 	for e := range m.LinkErr {
 		edges = append(edges, e)
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
+	graph.SortEdges(edges)
 	return edges
 }
 

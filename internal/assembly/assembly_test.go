@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -37,6 +39,41 @@ func TestFabricateBinIsSortedAndFree(t *testing.T) {
 		}
 		if c.AvgErr <= 0 {
 			t.Fatalf("chiplet %d avg error %v", c.ID, c.AvgErr)
+		}
+	}
+}
+
+func TestFabricateOrderMatchesStableSort(t *testing.T) {
+	// The bin is ordered by AvgErr with ties in ascending ID, the order
+	// a stable sort by AvgErr leaves the ascending-ID survivors in. A
+	// two-valued detuning model makes ties common, so the tie order is
+	// exercised too.
+	twoValued := noise.NewDetuningModel([]noise.CalibPoint{
+		{Detuning: 0, Infidelity: 0.01}, {Detuning: 0, Infidelity: 0.03},
+	}, 1)
+	for _, seed := range []int64{1, 2, 3, 77} {
+		for _, tied := range []bool{false, true} {
+			cfg := testBatchConfig(seed)
+			if tied {
+				cfg.Det = twoValued
+			}
+			b := fabricate(t, topo.ChipSpec{DenseRows: 1, Width: 8}, 400, cfg)
+			want := slices.Clone(b.Free)
+			slices.SortFunc(want, func(x, y *Chiplet) int { return x.ID - y.ID })
+			sort.SliceStable(want, func(i, j int) bool { return want[i].AvgErr < want[j].AvgErr })
+			ties := 0
+			for i := range want {
+				if b.Free[i] != want[i] {
+					t.Fatalf("seed %d tied=%v: bin position %d holds chiplet %d, stable sort puts %d there",
+						seed, tied, i, b.Free[i].ID, want[i].ID)
+				}
+				if i > 0 && want[i].AvgErr == want[i-1].AvgErr {
+					ties++
+				}
+			}
+			if tied && ties == 0 {
+				t.Fatalf("seed %d: two-valued model produced no ties", seed)
+			}
 		}
 	}
 }

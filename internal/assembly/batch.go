@@ -1,9 +1,10 @@
 package assembly
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"chipletqc/internal/collision"
 	"chipletqc/internal/fab"
@@ -101,8 +102,13 @@ func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfi
 			b.Free = append(b.Free, c)
 		}
 	}
-	sort.SliceStable(b.Free, func(i, j int) bool {
-		return b.Free[i].AvgErr < b.Free[j].AvgErr
+	// Free is in ascending ID order, so ordering ties by ID is the
+	// stable sort by AvgErr, without reflection.
+	slices.SortFunc(b.Free, func(x, y *Chiplet) int {
+		if c := cmp.Compare(x.AvgErr, y.AvgErr); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.ID, y.ID)
 	})
 	return b, nil
 }

@@ -66,6 +66,17 @@ func (g Gate) String() string {
 type Circuit struct {
 	NumQubits int
 	Gates     []Gate
+
+	// operands is the slab Append copies operands into: each gate's
+	// Qubits is a capacity-capped window of it, so one allocation serves
+	// many gates and appending to a gate's Qubits never reaches its
+	// neighbours.
+	operands []int
+	// self points at the circuit that owns the free tails of Gates and
+	// operands. A value copy fails the check in Append and caps both
+	// slices first, so the copy and the original never write the same
+	// backing slot (the strings.Builder copy check, without the panic).
+	self *Circuit
 }
 
 // New creates an empty circuit over n qubits. It panics for n < 1.
@@ -73,7 +84,9 @@ func New(n int) *Circuit {
 	if n < 1 {
 		panic(fmt.Sprintf("circuit: need at least one qubit, got %d", n))
 	}
-	return &Circuit{NumQubits: n}
+	c := &Circuit{NumQubits: n}
+	c.self = c
+	return c
 }
 
 // Append adds a gate after validating its name, arity, operand range,
@@ -96,11 +109,34 @@ func (c *Circuit) Append(name string, param float64, qubits ...int) {
 			}
 		}
 	}
-	g := Gate{Name: name, Qubits: append([]int(nil), qubits...)}
+	g := Gate{Name: name, Qubits: c.operandsFor(qubits)}
 	if a.hasParam {
 		g.Param = param
 	}
 	c.Gates = append(c.Gates, g)
+}
+
+// operandsFor copies qubits into the operand slab and returns the
+// copy's capacity-capped window.
+func (c *Circuit) operandsFor(qubits []int) []int {
+	if c.self != c {
+		// A value copy, or a circuit not built by New: claim it, and cap
+		// the shared slices so later appends reallocate instead of
+		// writing into slots another copy may also use.
+		c.self = c
+		c.Gates = c.Gates[:len(c.Gates):len(c.Gates)]
+		c.operands = c.operands[:len(c.operands):len(c.operands)]
+	}
+	if cap(c.operands)-len(c.operands) < len(qubits) {
+		// Start a fresh slab; the full one stays alive through its
+		// gates. The first slab holds two operands per reserved gate
+		// slot, so a presized circuit of 1q and 2q gates fills one slab.
+		c.operands = make([]int, 0, max(2*cap(c.Gates), 2*cap(c.operands), 16))
+	}
+	lo := len(c.operands)
+	c.operands = append(c.operands, qubits...)
+	hi := len(c.operands)
+	return c.operands[lo:hi:hi]
 }
 
 // Convenience constructors for the gate set.
@@ -213,8 +249,13 @@ func (k Counts) String() string {
 func (c *Circuit) Clone() *Circuit {
 	out := New(c.NumQubits)
 	out.Gates = make([]Gate, len(c.Gates))
+	n := 0
+	for _, g := range c.Gates {
+		n += len(g.Qubits)
+	}
+	out.operands = make([]int, 0, n)
 	for i, g := range c.Gates {
-		out.Gates[i] = Gate{Name: g.Name, Qubits: append([]int(nil), g.Qubits...), Param: g.Param}
+		out.Gates[i] = Gate{Name: g.Name, Qubits: out.operandsFor(g.Qubits), Param: g.Param}
 	}
 	return out
 }

@@ -191,3 +191,45 @@ func TestIsNative(t *testing.T) {
 		t.Error("swap is not native")
 	}
 }
+
+func TestValueCopyNeverSharesFreeSlots(t *testing.T) {
+	// Presize so both the gate list and the operand slab have free
+	// tails the copy shares with the original.
+	orig := New(4)
+	orig.Gates = make([]Gate, 0, 8)
+	orig.CX(0, 1)
+	cp := *orig
+	orig.CX(2, 3)
+	cp.H(3)
+	cp.CCX(0, 1, 2)
+	orig.RZ(1, 0.5)
+
+	check := func(name string, c *Circuit, want ...string) {
+		t.Helper()
+		if len(c.Gates) != len(want) {
+			t.Fatalf("%s has %d gates, want %d", name, len(c.Gates), len(want))
+		}
+		for i, g := range c.Gates {
+			if g.String() != want[i] {
+				t.Errorf("%s gate %d = %q, want %q", name, i, g, want[i])
+			}
+		}
+	}
+	check("original", orig, "cx q0,q1", "cx q2,q3", "rz(0.500) q1")
+	check("copy", &cp, "cx q0,q1", "h q3", "ccx q0,q1,q2")
+}
+
+func TestAppendOperandsAreCapped(t *testing.T) {
+	c := New(3)
+	c.CX(0, 1)
+	c.CX(1, 2)
+	// Growing one gate's operands must not reach its neighbour's.
+	_ = append(c.Gates[0].Qubits, 2)
+	if got := c.Gates[1].String(); got != "cx q1,q2" {
+		t.Errorf("second gate = %q after appending to the first's operands", got)
+	}
+	c.Gates[0].Qubits[0] = 2
+	if got := c.Gates[1].String(); got != "cx q1,q2" {
+		t.Errorf("second gate = %q after editing the first's operands", got)
+	}
+}

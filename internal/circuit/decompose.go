@@ -6,6 +6,11 @@ package circuit
 // already in the basis pass through unchanged.
 func Decompose(c *Circuit) *Circuit {
 	out := New(c.NumQubits)
+	n := 0
+	for _, g := range c.Gates {
+		n += loweredLen(g.Name)
+	}
+	out.Gates = make([]Gate, 0, n)
 	for _, g := range c.Gates {
 		switch g.Name {
 		case "swap":
@@ -18,14 +23,21 @@ func Decompose(c *Circuit) *Circuit {
 		case "ccx":
 			emitToffoli(out, g.Qubits[0], g.Qubits[1], g.Qubits[2])
 		default:
-			out.Gates = append(out.Gates, Gate{
-				Name:   g.Name,
-				Qubits: append([]int(nil), g.Qubits...),
-				Param:  g.Param,
-			})
+			out.Append(g.Name, g.Param, g.Qubits...)
 		}
 	}
 	return out
+}
+
+// loweredLen returns the number of gates Decompose emits for one gate.
+func loweredLen(name string) int {
+	switch name {
+	case "swap", "cz":
+		return 3
+	case "ccx":
+		return 15
+	}
+	return 1
 }
 
 // emitSwap writes SWAP(a, b) as three alternating CX gates.

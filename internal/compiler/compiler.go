@@ -36,102 +36,60 @@ type Result struct {
 // error when the circuit needs more qubits than the device offers, or
 // than the connected component holding the layout center reaches.
 func Compile(c *circuit.Circuit, dev *topo.Device) (*Result, error) {
-	return compile(c, dev, Options{})
+	return New(dev, Options{}).Compile(c)
 }
 
-// compile is the shared implementation behind Compile and
-// CompileWithOptions.
-func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error) {
+// Compiler compiles circuits onto one device. It builds the device's
+// routing table once, so compiling a suite onto the same device pays
+// for it once instead of per circuit. A Compiler is never mutated after
+// New and is safe for concurrent use.
+type Compiler struct {
+	dev  *topo.Device
+	opts Options
+	rt   *router
+}
+
+// New returns a Compiler for dev under opts.
+func New(dev *topo.Device, opts Options) *Compiler {
+	return &Compiler{dev: dev, opts: opts, rt: newRouter(dev.G)}
+}
+
+// Compile maps circuit c onto the Compiler's device; see the package
+// Compile for the errors it returns.
+func (cp *Compiler) Compile(c *circuit.Circuit) (*Result, error) {
+	dev := cp.dev
 	if c.NumQubits > dev.N {
 		return nil, fmt.Errorf("compiler: circuit needs %d qubits, device %q has %d",
 			c.NumQubits, dev.Name, dev.N)
 	}
 	native := circuit.Decompose(c)
-	rt := newRouter(dev.G)
-	if len(rt.order) < c.NumQubits {
+	if len(cp.rt.order) < c.NumQubits {
 		return nil, fmt.Errorf("compiler: circuit needs %d qubits, device %q reaches only %d from its center",
-			c.NumQubits, dev.Name, len(rt.order))
+			c.NumQubits, dev.Name, len(cp.rt.order))
 	}
 	layout := make([]int, c.NumQubits)
 	for l := range layout {
-		layout[l] = int(rt.order[l])
-	}
-
-	pos := append([]int(nil), layout...) // logical -> physical
-	owner := make([]int, dev.N)          // physical -> logical (-1 free)
-	for p := range owner {
-		owner[p] = -1
-	}
-	for l, p := range pos {
-		owner[p] = l
+		layout[l] = int(cp.rt.order[l])
 	}
 
 	out := circuit.New(dev.N)
-	// Every native gate emits one output gate; SWAPs append after.
-	out.Gates = make([]circuit.Gate, 0, len(native.Gates))
-	swaps := 0
-
-	emitSwap := func(u, v int) {
-		out.CX(u, v)
-		out.CX(v, u)
-		out.CX(u, v)
-		lu, lv := owner[u], owner[v]
-		owner[u], owner[v] = lv, lu
-		if lu >= 0 {
-			pos[lu] = v
+	// Every native gate emits one output gate and every SWAP three CX.
+	// On the table path a dry pass counts the SWAPs, so the output is
+	// allocated once at its exact size; under edge costs a dry pass
+	// would double the weighted path searches, so the output grows.
+	size := len(native.Gates)
+	if cp.opts.EdgeCost == nil {
+		_, swaps, err := cp.route(native, layout, nil)
+		if err != nil {
+			return nil, err
 		}
-		if lv >= 0 {
-			pos[lv] = u
-		}
-		swaps++
+		size += 3 * swaps
 	}
-
-	// route swaps logical a toward logical b until their physical qubits
-	// couple: along the BFS routing table by default, or along a
-	// minimum-cost path under the configured edge costs.
-	route := func(a, b int) error {
-		for {
-			u, v := pos[a], pos[b]
-			var hop int
-			if opts.EdgeCost == nil {
-				i := u*dev.N + v
-				if rt.dist[i] == 1 {
-					return nil
-				}
-				if rt.dist[i] < 0 {
-					return fmt.Errorf("compiler: no path between physical %d and %d", u, v)
-				}
-				hop = int(rt.next[i])
-			} else {
-				if dev.G.HasEdge(u, v) {
-					return nil
-				}
-				path, _ := dev.G.ShortestPathWeighted(u, v, opts.EdgeCost)
-				if path == nil {
-					return fmt.Errorf("compiler: no path between physical %d and %d", u, v)
-				}
-				hop = path[1]
-			}
-			emitSwap(u, hop)
-		}
+	out.Gates = make([]circuit.Gate, 0, size)
+	pos, swaps, err := cp.route(native, layout, out)
+	if err != nil {
+		return nil, err
 	}
-
-	for _, g := range native.Gates {
-		switch {
-		case g.IsOneQubit():
-			out.Append(g.Name, g.Param, pos[g.Qubits[0]])
-		case g.IsTwoQubit():
-			a, b := g.Qubits[0], g.Qubits[1]
-			if err := route(a, b); err != nil {
-				return nil, err
-			}
-			out.Append(g.Name, g.Param, pos[a], pos[b])
-		default:
-			return nil, fmt.Errorf("compiler: unexpected %d-qubit gate %q after lowering",
-				len(g.Qubits), g.Name)
-		}
-	}
-
 	return &Result{
 		Compiled:      out,
 		InitialLayout: layout,
@@ -141,7 +99,80 @@ func compile(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error
 	}, nil
 }
 
-// router holds one compile's all-pairs BFS routing tables over an
+// route walks the native gates from the initial layout, swapping each
+// two-qubit gate's first operand toward its second until their physical
+// qubits couple: along the BFS routing table by default, or along a
+// minimum-cost path under the configured edge costs. It returns the
+// final logical -> physical map and the SWAP count, and emits the
+// routed circuit into out unless out is nil (the dry pass).
+func (cp *Compiler) route(native *circuit.Circuit, layout []int, out *circuit.Circuit) (pos []int, swaps int, err error) {
+	dev, rt := cp.dev, cp.rt
+	pos = append([]int(nil), layout...) // logical -> physical
+	owner := make([]int, dev.N)         // physical -> logical (-1 free)
+	for p := range owner {
+		owner[p] = -1
+	}
+	for l, p := range pos {
+		owner[p] = l
+	}
+
+	for _, g := range native.Gates {
+		switch {
+		case g.IsOneQubit():
+			if out != nil {
+				out.Append(g.Name, g.Param, pos[g.Qubits[0]])
+			}
+		case g.IsTwoQubit():
+			a, b := g.Qubits[0], g.Qubits[1]
+			for {
+				u, v := pos[a], pos[b]
+				var hop int
+				if cp.opts.EdgeCost == nil {
+					i := u*dev.N + v
+					if rt.dist[i] == 1 {
+						break
+					}
+					if rt.dist[i] < 0 {
+						return nil, 0, fmt.Errorf("compiler: no path between physical %d and %d", u, v)
+					}
+					hop = int(rt.next[i])
+				} else {
+					if dev.G.HasEdge(u, v) {
+						break
+					}
+					path, _ := dev.G.ShortestPathWeighted(u, v, cp.opts.EdgeCost)
+					if path == nil {
+						return nil, 0, fmt.Errorf("compiler: no path between physical %d and %d", u, v)
+					}
+					hop = path[1]
+				}
+				if out != nil {
+					out.CX(u, hop)
+					out.CX(hop, u)
+					out.CX(u, hop)
+				}
+				lu, lh := owner[u], owner[hop]
+				owner[u], owner[hop] = lh, lu
+				if lu >= 0 {
+					pos[lu] = hop
+				}
+				if lh >= 0 {
+					pos[lh] = u
+				}
+				swaps++
+			}
+			if out != nil {
+				out.Append(g.Name, g.Param, pos[a], pos[b])
+			}
+		default:
+			return nil, 0, fmt.Errorf("compiler: unexpected %d-qubit gate %q after lowering",
+				len(g.Qubits), g.Name)
+		}
+	}
+	return pos, swaps, nil
+}
+
+// router holds one device's all-pairs BFS routing tables over an
 // n-vertex graph, indexed u*n+v. Each source is searched once, visiting
 // neighbours in ascending order, which is the visit order
 // graph.ShortestPath uses. ShortestPath(u, v) stops when it dequeues v,

@@ -2,6 +2,8 @@ package compiler
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"chipletqc/internal/circuit"
@@ -188,4 +190,67 @@ func TestCountsMatchCompiledCircuit(t *testing.T) {
 	if r.Counts != r.Compiled.Counts() {
 		t.Errorf("cached counts %v != recomputed %v", r.Counts, r.Compiled.Counts())
 	}
+}
+
+func TestCompilerMatchesCompile(t *testing.T) {
+	// One Compiler serves the whole suite; each result must equal a
+	// fresh package-level compile's, under both routing paths.
+	dev := mcm.MustBuild(mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
+	width := qbench.UtilizedQubits(dev.N)
+	for _, opts := range []Options{{}, {EdgeCost: LinkAwareCost(dev, 4)}} {
+		cp := New(dev, opts)
+		for _, bs := range qbench.Suite() {
+			c := bs.Generate(width, 5)
+			got, err := cp.Compile(c)
+			if err != nil {
+				t.Fatalf("%s: %v", bs.Short, err)
+			}
+			want, err := CompileWithOptions(c, dev, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", bs.Short, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (weighted=%v): Compiler.Compile differs from CompileWithOptions",
+					bs.Short, opts.EdgeCost != nil)
+			}
+			if opts.EdgeCost == nil {
+				if plain, err := Compile(c, dev); err != nil || !reflect.DeepEqual(got, plain) {
+					t.Errorf("%s: Compiler.Compile differs from Compile (err %v)", bs.Short, err)
+				}
+				// The dry routing pass sizes the output exactly.
+				if n := len(got.Compiled.Gates); cap(got.Compiled.Gates) != n {
+					t.Errorf("%s: compiled gate list has cap %d for %d gates", bs.Short, cap(got.Compiled.Gates), n)
+				}
+			}
+		}
+	}
+}
+
+func TestCompilerConcurrentUse(t *testing.T) {
+	dev := mcm.MustBuild(mcm.Grid{Rows: 1, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
+	cp := New(dev, Options{})
+	width := qbench.UtilizedQubits(dev.N)
+	var circuits []*circuit.Circuit
+	var want []*Result
+	for _, bs := range qbench.Suite() {
+		c := bs.Generate(width, 7)
+		r, err := cp.Compile(c)
+		if err != nil {
+			t.Fatalf("%s: %v", bs.Short, err)
+		}
+		circuits, want = append(circuits, c), append(want, r)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, c := range circuits {
+				if r, err := cp.Compile(c); err != nil || !reflect.DeepEqual(r, want[i]) {
+					t.Errorf("concurrent compile %d differs from serial (err %v)", i, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

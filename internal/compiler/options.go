@@ -51,5 +51,5 @@ func ErrorAwareCost(a noise.Assignment) graph.WeightFunc {
 
 // CompileWithOptions is Compile with explicit options.
 func CompileWithOptions(c *circuit.Circuit, dev *topo.Device, opts Options) (*Result, error) {
-	return compile(c, dev, opts)
+	return New(dev, opts).Compile(c)
 }

@@ -222,10 +222,11 @@ func Table2(ctx context.Context, cfg Config) ([]Table2Row, error) {
 		}
 		grid := mcm.Grid{Rows: 2, Cols: 2, Spec: spec}
 		dev := mcm.MustBuild(grid)
+		comp := compiler.New(dev, compiler.Options{})
 		width := qbench.UtilizedQubits(dev.N)
 		for _, bs := range qbench.Suite() {
 			c := bs.Generate(width, cfg.Seed+seedOffTable2Circuits)
-			r, err := compiler.Compile(c, dev)
+			r, err := comp.Compile(c)
 			if err != nil {
 				return nil, fmt.Errorf("table II %dq %s: %w", cq, bs.Short, err)
 			}

@@ -243,6 +243,25 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 		mcmOpts.EdgeCost = compiler.LinkAwareCost(mcmDev,
 			cfg.linkModel().Mean()/noise.ChipMeanInfidelity)
 	}
+	// Each device gets one routing table and one edge index for the
+	// whole suite, and each instance one ln(1 - e) table. The tables
+	// are needed only when a monolithic population exists to compare
+	// against.
+	mcmComp := compiler.New(mcmDev, mcmOpts)
+	var monoComp *compiler.Compiler
+	var mcmIdx, monoIdx *edgeIndex
+	var mcmTables, monoTables [][]float64
+	if len(monoAssignments) > 0 {
+		monoComp = compiler.New(monoDev, compiler.Options{})
+		mcmIdx = newEdgeIndex(mcmDev.G.Edges())
+		for _, m := range mods {
+			mcmTables = append(mcmTables, mcmIdx.logTable(m.Errors(mcmDev, chip)))
+		}
+		monoIdx = newEdgeIndex(monoDev.G.Edges())
+		for _, a := range monoAssignments {
+			monoTables = append(monoTables, monoIdx.logTable(a))
+		}
+	}
 
 	width := qbench.UtilizedQubits(g.Qubits())
 	for _, bs := range qbench.Suite() {
@@ -250,13 +269,9 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 			return nil, err
 		}
 		circ := bs.Generate(width, cfg.Seed+seedOffFig10Circuits)
-		mcmRes, err := compiler.CompileWithOptions(circ, mcmDev, mcmOpts)
+		mcmRes, err := mcmComp.Compile(circ)
 		if err != nil {
 			return nil, fmt.Errorf("fig10 %v %s (mcm): %w", g, bs.Short, err)
-		}
-		var mcmLogs []float64
-		for _, m := range mods {
-			mcmLogs = append(mcmLogs, LogFidelity(mcmRes, m.Errors(mcmDev, chip)))
 		}
 		p := Fig10Point{
 			Grid:   g,
@@ -269,23 +284,30 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 			p.MonoZero = true
 			p.LogRatio = math.Inf(1)
 		} else {
-			monoRes, err := compiler.Compile(circ, monoDev)
+			monoRes, err := monoComp.Compile(circ)
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %v %s (mono): %w", g, bs.Short, err)
 			}
-			var monoLogs []float64
-			for _, a := range monoAssignments {
-				monoLogs = append(monoLogs, LogFidelity(monoRes, a))
-			}
-			if len(mcmLogs) == 0 {
+			if len(mods) == 0 {
 				p.LogRatio = math.NaN()
 			} else {
-				p.LogRatio = stats.Mean(mcmLogs) - stats.Mean(monoLogs)
+				p.LogRatio = meanLog(mcmIdx, mcmRes, mcmTables) - meanLog(monoIdx, monoRes, monoTables)
 			}
 		}
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+// meanLog returns the mean log fidelity of one compiled circuit over
+// the instances whose ln(1 - e) tables are given.
+func meanLog(x *edgeIndex, r *compiler.Result, tables [][]float64) float64 {
+	ids := x.gateEdges(r.Compiled)
+	logs := make([]float64, len(tables))
+	for i, t := range tables {
+		logs[i] = sumLogs(ids, t)
+	}
+	return stats.Mean(logs)
 }
 
 // monoInstances fabricates monolithic devices until `want` collision-free

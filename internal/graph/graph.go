@@ -7,7 +7,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -106,13 +108,18 @@ func (g *Graph) Edges() []Edge {
 	for e := range g.edges {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	SortEdges(out)
 	return out
+}
+
+// SortEdges sorts edges by (U, V), the deterministic order Edges uses.
+func SortEdges(edges []Edge) {
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.V, b.V)
+	})
 }
 
 func (g *Graph) checkVertex(v int) {

@@ -133,17 +133,22 @@ func Assign(r *rand.Rand, d *topo.Device, f []float64, det *DetuningModel, link 
 	return Assignment{Err: errs}
 }
 
+// Edges returns the assignment's couplings in sorted (U, V) order.
+func (a Assignment) Edges() []graph.Edge {
+	edges := make([]graph.Edge, 0, len(a.Err))
+	for e := range a.Err {
+		edges = append(edges, e)
+	}
+	graph.SortEdges(edges)
+	return edges
+}
+
 // Mean returns the infidelity averaged across every coupled qubit pair,
-// the paper's E_avg metric (Section VII-C2).
+// the paper's E_avg metric (Section VII-C2). It sums in sorted edge
+// order, so the floating-point result is reproducible (map iteration
+// order is not).
 func (a Assignment) Mean() float64 {
-	if len(a.Err) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, e := range a.Err {
-		sum += e
-	}
-	return sum / float64(len(a.Err))
+	return a.MeanOver(a.Edges())
 }
 
 // MeanOver returns the average infidelity over a subset of couplings.

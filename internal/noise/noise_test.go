@@ -3,6 +3,7 @@ package noise
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"chipletqc/internal/fab"
@@ -285,5 +286,30 @@ func TestWashingtonSpecSize(t *testing.T) {
 	spec := WashingtonSpec()
 	if q := spec.Qubits(); q < 120 || q > 134 {
 		t.Errorf("Washington-class spec has %d qubits, want ~127", q)
+	}
+}
+
+func TestAssignmentMeanIsDeterministic(t *testing.T) {
+	// A Go map iterates in a different order on every range, so a mean
+	// summed in map order changes its low bits from call to call on a
+	// device this large.
+	d := mcm.MustBuild(mcm.Grid{Rows: 5, Cols: 5, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
+	r := rand.New(rand.NewSource(40))
+	f := fab.DefaultModel().Sample(r, d)
+	a := Assign(r, d, f, DefaultDetuningModel(41), DefaultLinkModel())
+	want := math.Float64bits(a.MeanOver(d.G.Edges()))
+	for i := 0; i < 50; i++ {
+		if got := math.Float64bits(a.Mean()); got != want {
+			t.Fatalf("call %d: Mean() bits %x, want MeanOver(all edges) bits %x", i, got, want)
+		}
+	}
+}
+
+func TestAssignmentEdgesSorted(t *testing.T) {
+	d := mcm.MustBuild(mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
+	r := rand.New(rand.NewSource(42))
+	a := Assign(r, d, fab.DefaultModel().Sample(r, d), DefaultDetuningModel(43), DefaultLinkModel())
+	if got, want := a.Edges(), d.G.Edges(); !slices.Equal(got, want) {
+		t.Errorf("Edges() = %v, want the device's sorted edges %v", got, want)
 	}
 }
