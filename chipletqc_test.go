@@ -3,7 +3,10 @@ package chipletqc
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
+
+	"chipletqc/internal/topo"
 )
 
 func TestChipletSizes(t *testing.T) {
@@ -62,6 +65,36 @@ func TestFacadeCollisionChecks(t *testing.T) {
 	vs := Collisions(dev, f)
 	if free != (len(vs) == 0) {
 		t.Error("CollisionFree and Collisions disagree")
+	}
+}
+
+// TestMonolithicAdjacencyIsDeterministic rebuilds the 100-qubit
+// monolithic device and checks that its adjacency order, and everything
+// derived from it, is the same every time and equals the chip's own:
+// Collisions on an all-equal assignment reports every Type 5-7 triple,
+// whose Target/Target2 order follows the control's neighbour order.
+func TestMonolithicAdjacencyIsDeterministic(t *testing.T) {
+	chip := BuildChiplet(topo.MonolithicSpec(100))
+	first := Monolithic(100)
+	f := make([]float64, first.N)
+	for i := range f {
+		f[i] = 5.0
+	}
+	wantPairs := first.ControlPairs()
+	wantViolations := Collisions(first, f)
+	for rebuild := 0; rebuild < 20; rebuild++ {
+		d := Monolithic(100)
+		for q := 0; q < d.N; q++ {
+			if got := d.G.Neighbors(q); !slices.Equal(got, chip.G.Neighbors(q)) {
+				t.Fatalf("rebuild %d: Neighbors(%d) = %v, chip has %v", rebuild, q, got, chip.G.Neighbors(q))
+			}
+		}
+		if got := d.ControlPairs(); !slices.Equal(got, wantPairs) {
+			t.Fatalf("rebuild %d: ControlPairs order changed", rebuild)
+		}
+		if got := Collisions(d, f); !slices.Equal(got, wantViolations) {
+			t.Fatalf("rebuild %d: Collisions order changed", rebuild)
+		}
 	}
 }
 

@@ -22,6 +22,17 @@ func benchDraws() (*topo.Device, fab.Model, []float64, [][]float64) {
 	return d, m, m.Targets(d), fs
 }
 
+// BenchmarkNewChecker compiles the checker for the 500-qubit monolithic
+// device, as every yield simulation does once for its device.
+func BenchmarkNewChecker(b *testing.B) {
+	d := topo.MonolithicDevice(topo.MonolithicSpec(500))
+	p := DefaultParams()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewChecker(d, p)
+	}
+}
+
 // BenchmarkFree checks whole fabricated assignments, most of which
 // collide, against every criterion in compiled order.
 func BenchmarkFree(b *testing.B) {

@@ -109,11 +109,13 @@ type bucketEnd struct{ edges, targets, triples int32 }
 // NewChecker compiles a checker for device d under params p.
 func NewChecker(d *topo.Device, p Params) *Checker {
 	c := &Checker{params: p}
-	for _, e := range d.G.Edges() {
-		c.edges = append(c.edges, edgeInfo{
+	es := d.G.Edges()
+	c.edges = make([]edgeInfo, len(es))
+	for i, e := range es {
+		c.edges[i] = edgeInfo{
 			control: d.ControlOf(e.U, e.V),
 			target:  d.TargetOf(e.U, e.V),
-		})
+		}
 	}
 	c.pairs = d.ControlPairs()
 

@@ -32,10 +32,16 @@ func NewEdge(u, v int) Edge {
 }
 
 // Graph is an undirected simple graph over vertices [0, N).
+//
+// Adjacency lists are the only edge storage: coupling maps have small
+// degree (at most 6 in any generated family), so duplicate detection and
+// HasEdge scan a list instead of hashing into an edge set, and Edges
+// derives the sorted edge list from the lists without a map or a sort
+// over all edges.
 type Graph struct {
-	n     int
-	adj   [][]int
-	edges map[Edge]bool
+	n   int
+	adj [][]int
+	m   int
 }
 
 // New creates an empty graph with n vertices.
@@ -43,31 +49,42 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
-	return &Graph{
-		n:     n,
-		adj:   make([][]int, n),
-		edges: make(map[Edge]bool),
+	// Each adjacency list starts as a capacity-capped window of one
+	// shared slab, so building a graph allocates once instead of once or
+	// twice per vertex. A vertex whose degree outgrows its window moves
+	// to its own array on append; its neighbours' windows are untouched.
+	slab := make([]int, slabDegree*n)
+	adj := make([][]int, n)
+	for v := range adj {
+		adj[v] = slab[v*slabDegree : v*slabDegree : (v+1)*slabDegree]
 	}
+	return &Graph{n: n, adj: adj}
 }
+
+// slabDegree is the adjacency capacity New reserves per vertex: the
+// largest degree of the heavy-hex, hex and square families.
+const slabDegree = 4
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return len(g.edges) }
+func (g *Graph) M() int { return g.m }
 
 // AddEdge inserts the undirected edge (u, v). Duplicate insertions are
 // no-ops so construction code can be written without dedup bookkeeping.
 func (g *Graph) AddEdge(u, v int) {
 	g.checkVertex(u)
 	g.checkVertex(v)
-	e := NewEdge(u, v)
-	if g.edges[e] {
+	if u == v {
+		panic(fmt.Sprintf("graph: self-loop on vertex %d", u))
+	}
+	if slices.Contains(g.adj[u], v) {
 		return
 	}
-	g.edges[e] = true
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
+	g.m++
 }
 
 // HasEdge reports whether (u, v) is an edge.
@@ -75,11 +92,14 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u == v || u < 0 || v < 0 || u >= g.n || v >= g.n {
 		return false
 	}
-	return g.edges[NewEdge(u, v)]
+	if len(g.adj[v]) < len(g.adj[u]) {
+		u, v = v, u
+	}
+	return slices.Contains(g.adj[u], v)
 }
 
-// Neighbors returns the adjacency list of v. The returned slice is owned
-// by the graph; callers must not modify it.
+// Neighbors returns the adjacency list of v, in edge insertion order.
+// The returned slice is owned by the graph; callers must not modify it.
 func (g *Graph) Neighbors(v int) []int {
 	g.checkVertex(v)
 	return g.adj[v]
@@ -102,13 +122,27 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
-// Edges returns all edges in deterministic (sorted) order.
+// Edges returns all edges in deterministic (U, V) order, as a fresh
+// slice the caller owns. Walking U in ascending order and sorting each
+// vertex's short run of higher neighbours gives the same order as a
+// global SortEdges.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.edges))
-	for e := range g.edges {
-		out = append(out, e)
+	out := make([]Edge, 0, g.m)
+	for u, nbrs := range g.adj {
+		run := len(out)
+		for _, v := range nbrs {
+			if v < u {
+				continue
+			}
+			// Insertion sort by V within u's run: runs are a few edges long.
+			i := len(out)
+			out = append(out, Edge{})
+			for ; i > run && out[i-1].V > v; i-- {
+				out[i] = out[i-1]
+			}
+			out[i] = Edge{U: u, V: v}
+		}
 	}
-	SortEdges(out)
 	return out
 }
 
@@ -231,13 +265,4 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return diam
-}
-
-// Clone returns an independent deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for e := range g.edges {
-		c.AddEdge(e.U, e.V)
-	}
-	return c
 }

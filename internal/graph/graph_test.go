@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -166,15 +167,94 @@ func TestConnectedAndDiameter(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := path(4)
-	c := g.Clone()
-	c.AddEdge(0, 3)
-	if g.HasEdge(0, 3) {
-		t.Error("Clone must be independent of original")
+// refGraph is a map-backed reference for the adjacency-only Graph: an
+// edge set plus per-vertex insertion-ordered neighbour lists.
+type refGraph struct {
+	n     int
+	edges map[Edge]bool
+	adj   [][]int
+}
+
+func newRefGraph(n int) *refGraph {
+	return &refGraph{n: n, edges: map[Edge]bool{}, adj: make([][]int, n)}
+}
+
+func (r *refGraph) add(u, v int) {
+	e := NewEdge(u, v)
+	if r.edges[e] {
+		return
 	}
-	if c.M() != g.M()+1 {
-		t.Errorf("clone edge count wrong: %d vs %d", c.M(), g.M())
+	r.edges[e] = true
+	r.adj[u] = append(r.adj[u], v)
+	r.adj[v] = append(r.adj[v], u)
+}
+
+func (r *refGraph) sortedEdges() []Edge {
+	out := make([]Edge, 0, len(r.edges))
+	for e := range r.edges {
+		out = append(out, e)
+	}
+	SortEdges(out)
+	return out
+}
+
+// TestGraphMatchesMapOracle inserts random edge sequences, with
+// duplicates and both orientations, into Graph and into the map-backed
+// reference, then checks every query against the reference.
+func TestGraphMatchesMapOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(24)
+		g, ref := New(n), newRefGraph(n)
+		if n > 1 {
+			for k := r.Intn(4 * n); k > 0; k-- {
+				u, v := r.Intn(n), r.Intn(n)
+				if u == v {
+					continue
+				}
+				g.AddEdge(u, v)
+				ref.add(u, v)
+				if r.Intn(3) == 0 { // re-insert, sometimes reversed
+					if r.Intn(2) == 0 {
+						u, v = v, u
+					}
+					g.AddEdge(u, v)
+				}
+			}
+		}
+		if g.M() != len(ref.edges) {
+			t.Fatalf("trial %d: M = %d, want %d", trial, g.M(), len(ref.edges))
+		}
+		for u := -1; u <= n; u++ {
+			for v := -1; v <= n; v++ {
+				want := u != v && u >= 0 && v >= 0 && u < n && v < n && ref.edges[NewEdge(u, v)]
+				if got := g.HasEdge(u, v); got != want {
+					t.Fatalf("trial %d: HasEdge(%d, %d) = %v, want %v", trial, u, v, got, want)
+				}
+			}
+		}
+		es := g.Edges()
+		want := ref.sortedEdges()
+		if !slices.Equal(es, want) {
+			t.Fatalf("trial %d: Edges = %v, want %v", trial, es, want)
+		}
+		for i := 1; i < len(es); i++ {
+			if a, b := es[i-1], es[i]; a.U > b.U || (a.U == b.U && a.V >= b.V) {
+				t.Fatalf("trial %d: Edges not strictly sorted at %d: %v, %v", trial, i, a, b)
+			}
+		}
+		for i := range es {
+			es[i] = Edge{U: -7, V: -7}
+		}
+		if again := g.Edges(); !slices.Equal(again, want) {
+			t.Fatalf("trial %d: mutating the Edges result changed the graph: %v", trial, again)
+		}
+		for v := 0; v < n; v++ {
+			if !slices.Equal(g.Neighbors(v), ref.adj[v]) {
+				t.Fatalf("trial %d: Neighbors(%d) = %v, want insertion order %v",
+					trial, v, g.Neighbors(v), ref.adj[v])
+			}
+		}
 	}
 }
 
@@ -205,6 +285,8 @@ func TestVertexRangePanics(t *testing.T) {
 	g := New(2)
 	for _, fn := range []func(){
 		func() { g.AddEdge(0, 2) },
+		func() { g.AddEdge(-1, 0) },
+		func() { g.AddEdge(1, 1) }, // self-loop
 		func() { g.Neighbors(-1) },
 		func() { g.Degree(5) },
 		func() { g.BFSFrom(2) },
@@ -213,7 +295,7 @@ func TestVertexRangePanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("expected out-of-range panic")
+					t.Error("expected out-of-range or self-loop panic")
 				}
 			}()
 			fn()

@@ -31,21 +31,23 @@ type Device struct {
 	Link map[graph.Edge]bool
 }
 
-// MonolithicDevice builds a single-chip device from spec.
+// MonolithicDevice builds a single-chip device from spec. The device
+// adopts the freshly built chip's slices and graph: the chip is local and
+// discarded, so nothing else aliases them, and the device keeps the
+// chip's adjacency order.
 func MonolithicDevice(spec ChipSpec) *Device {
 	c := BuildChip(spec)
-	d := &Device{
+	return &Device{
 		Name:     fmt.Sprintf("mono-%d", c.N),
 		N:        c.N,
-		Class:    append([]Class(nil), c.Class...),
-		IsBridge: append([]bool(nil), c.IsBridge...),
-		Coord:    append([][2]int(nil), c.Coord...),
+		Class:    c.Class,
+		IsBridge: c.IsBridge,
+		Coord:    c.Coord,
 		ChipOf:   make([]int, c.N),
 		Chips:    1,
-		G:        c.G.Clone(),
+		G:        c.G,
 		Link:     map[graph.Edge]bool{},
 	}
-	return d
 }
 
 // IsLink reports whether the coupling (u, v) is an inter-chip link.
@@ -128,14 +130,13 @@ type ControlPair struct {
 // least one inter-chip link. Each such qubit requires 25 C4 bump bonds in
 // the assembly yield model (Section VII-B).
 func (d *Device) LinkedQubits() []int {
-	seen := make(map[int]bool)
+	seen := make([]bool, d.N)
 	for e := range d.Link {
-		seen[e.U] = true
-		seen[e.V] = true
+		seen[e.U], seen[e.V] = true, true
 	}
-	out := make([]int, 0, len(seen))
-	for q := 0; q < d.N; q++ {
-		if seen[q] {
+	out := make([]int, 0, 2*len(d.Link))
+	for q, ok := range seen {
+		if ok {
 			out = append(out, q)
 		}
 	}

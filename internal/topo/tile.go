@@ -44,6 +44,7 @@ func TileGrid(spec ChipSpec, rows, cols int) *Device {
 	}
 
 	// Instantiate chip copies.
+	chipEdges := chip.G.Edges()
 	for row := 0; row < rows; row++ {
 		for col := 0; col < cols; col++ {
 			base := chipBase(row, col)
@@ -55,7 +56,7 @@ func TileGrid(spec ChipSpec, rows, cols int) *Device {
 				d.Coord[gq] = [2]int{chip.Coord[q][0] + col*w, chip.Coord[q][1] + row*h}
 				d.ChipOf[gq] = idx
 			}
-			for _, e := range chip.G.Edges() {
+			for _, e := range chipEdges {
 				d.G.AddEdge(base+e.U, base+e.V)
 			}
 		}

@@ -224,7 +224,9 @@ type Chip struct {
 	Class    []Class  // ideal frequency class per qubit
 	IsBridge []bool   // true for sparse-row bridge qubits
 	G        *graph.Graph
-	index    map[[2]int]int
+	// index holds id+1 of the qubit at cell (x, y), at y*Width+x over
+	// the Width x 2*DenseRows grid; 0 marks an empty sparse-row cell.
+	index []int32
 }
 
 // bridgeOffset returns the column residue (mod 4) of bridges in sparse
@@ -258,16 +260,15 @@ func BuildChip(spec ChipSpec) *Chip {
 		Coord:    make([][2]int, 0, n),
 		Class:    make([]Class, 0, n),
 		IsBridge: make([]bool, 0, n),
-		index:    make(map[[2]int]int, n),
+		index:    make([]int32, w*2*r),
 	}
 	add := func(x, y int, cl Class, bridge bool) {
-		id := len(c.Coord)
 		c.Coord = append(c.Coord, [2]int{x, y})
 		c.Class = append(c.Class, cl)
 		c.IsBridge = append(c.IsBridge, bridge)
-		c.index[[2]int{x, y}] = id
-		_ = id
+		c.index[y*w+x] = int32(len(c.Coord))
 	}
+	at := func(x, y int) int { return int(c.index[y*w+x]) - 1 }
 	for i := 0; i < r; i++ {
 		for x := 0; x < w; x++ {
 			add(x, 2*i, denseClass(x, i), false)
@@ -281,7 +282,7 @@ func BuildChip(spec ChipSpec) *Chip {
 	// Dense-row horizontal couplings.
 	for i := 0; i < r; i++ {
 		for x := 0; x+1 < w; x++ {
-			c.G.AddEdge(c.index[[2]int{x, 2 * i}], c.index[[2]int{x + 1, 2 * i}])
+			c.G.AddEdge(at(x, 2*i), at(x+1, 2*i))
 		}
 	}
 	// Bridge couplings: up always; down only when another dense row
@@ -289,10 +290,10 @@ func BuildChip(spec ChipSpec) *Chip {
 	for i := 0; i < r; i++ {
 		off := bridgeOffset(i)
 		for x := off; x < w; x += 4 {
-			b := c.index[[2]int{x, 2*i + 1}]
-			c.G.AddEdge(b, c.index[[2]int{x, 2 * i}])
+			b := at(x, 2*i+1)
+			c.G.AddEdge(b, at(x, 2*i))
 			if i+1 < r {
-				c.G.AddEdge(b, c.index[[2]int{x, 2*i + 2}])
+				c.G.AddEdge(b, at(x, 2*i+2))
 			}
 		}
 	}
@@ -302,8 +303,15 @@ func BuildChip(spec ChipSpec) *Chip {
 // QubitAt returns the qubit id at grid coordinate (x, y) and whether one
 // exists there.
 func (c *Chip) QubitAt(x, y int) (int, bool) {
-	id, ok := c.index[[2]int{x, y}]
-	return id, ok
+	w := c.Spec.Width
+	if x < 0 || x >= w || y < 0 || y >= 2*c.Spec.DenseRows {
+		return 0, false
+	}
+	id := int(c.index[y*w+x]) - 1
+	if id < 0 {
+		return 0, false
+	}
+	return id, true
 }
 
 // RightEdge returns the horizontal link qubits (x = w-1 on each dense

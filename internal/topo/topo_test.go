@@ -265,17 +265,41 @@ func TestMonolithicSpecExactFamilySizes(t *testing.T) {
 	}
 }
 
+// TestQubitAt checks the dense chip index on every catalog spec: every
+// qubit's coordinate maps back to it, every other cell of the chip's
+// grid is empty, and the ring of cells just off the grid (where a flat
+// index would alias a neighbouring row) is absent.
 func TestQubitAt(t *testing.T) {
-	c := BuildChip(ChipSpec{DenseRows: 2, Width: 8})
-	id, ok := c.QubitAt(0, 0)
-	if !ok || c.Coord[id] != [2]int{0, 0} {
-		t.Error("QubitAt(0,0) broken")
-	}
-	if _, ok := c.QubitAt(1, 1); ok {
-		t.Error("no bridge should exist at (1,1)")
-	}
-	if _, ok := c.QubitAt(99, 99); ok {
-		t.Error("out of range coordinate should be absent")
+	for _, cs := range Catalog {
+		c := BuildChip(cs.Spec)
+		for q, xy := range c.Coord {
+			if id, ok := c.QubitAt(xy[0], xy[1]); !ok || id != q {
+				t.Errorf("%v: QubitAt(%v) = (%d, %v), want (%d, true)", cs.Spec, xy, id, ok, q)
+			}
+		}
+		w, h := cs.Spec.Width, 2*cs.Spec.DenseRows
+		occupied := 0
+		for y := -1; y <= h; y++ {
+			for x := -1; x <= w; x++ {
+				id, ok := c.QubitAt(x, y)
+				if !ok {
+					if id != 0 {
+						t.Errorf("%v: absent QubitAt(%d, %d) returned id %d", cs.Spec, x, y, id)
+					}
+					continue
+				}
+				occupied++
+				if x < 0 || x >= w || y < 0 || y >= h {
+					t.Errorf("%v: QubitAt(%d, %d) off the grid = %d", cs.Spec, x, y, id)
+				}
+				if y%2 == 1 && (x-bridgeOffset(y/2))%4 != 0 {
+					t.Errorf("%v: empty sparse-row cell (%d, %d) holds qubit %d", cs.Spec, x, y, id)
+				}
+			}
+		}
+		if occupied != c.N {
+			t.Errorf("%v: %d occupied cells, want %d", cs.Spec, occupied, c.N)
+		}
 	}
 }
 
