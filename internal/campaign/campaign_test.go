@@ -3,6 +3,7 @@ package campaign_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"chipletqc/internal/experiment"
 	"chipletqc/internal/report"
 	"chipletqc/internal/store"
+	"chipletqc/internal/yield"
 )
 
 // execLog records every real execution of the counting test
@@ -605,5 +607,47 @@ func TestCorruptStoreSurfacesDuringRun(t *testing.T) {
 		t.Errorf("corrupt record should abort the campaign with a clear error, got %v", err)
 	}
 }
+
+// TestAuditErrorIsCellError: a yield simulation whose collision audit
+// fails returns a *yield.AuditError, and the campaign must report it as
+// that cell's error, in the event stream and from Run, and persist
+// nothing for the cell.
+func TestAuditErrorIsCellError(t *testing.T) {
+	registerAuditFailing()
+	st := store.OpenMem()
+	var mu sync.Mutex
+	var events []error
+	_, err := campaign.Run(context.Background(), campaign.Plan{Experiments: []string{"test-audit-fail"}, Seed: 1},
+		campaign.Options{Store: st, Progress: func(e campaign.Event) {
+			if e.Phase == campaign.PhaseError {
+				mu.Lock()
+				events = append(events, e.Err)
+				mu.Unlock()
+			}
+		}})
+	var ae *yield.AuditError
+	if !errors.As(err, &ae) || *ae != auditFailure {
+		t.Fatalf("Run error %v, want the cell's *yield.AuditError", err)
+	}
+	if len(events) != 1 || !errors.As(events[0], &ae) {
+		t.Errorf("error events %v, want one carrying the *yield.AuditError", events)
+	}
+	if n, _ := st.Len(); n != 0 {
+		t.Errorf("store holds %d records after a failed cell, want 0", n)
+	}
+}
+
+// auditFailure is the error test-audit-fail's yield simulation returns.
+var auditFailure = yield.AuditError{Device: "mono-100", Estimator: "importance", Count: 3}
+
+// registerAuditFailing registers an experiment whose yield simulation
+// fails its audit, exactly once per test binary.
+var registerAuditFailing = sync.OnceFunc(func() {
+	experiment.Register(experiment.New("test-audit-fail", "a cell whose yield audit fails",
+		func(ctx context.Context, cfg eval.Config) (*report.Table, int, error) {
+			err := auditFailure
+			return nil, 0, &err
+		}))
+})
 
 func ptr[T any](v T) *T { return &v }

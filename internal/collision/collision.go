@@ -38,6 +38,22 @@ type Params struct {
 	T7            float64 // Type 7 half-width
 }
 
+// Validate reports the first unphysical parameter: the anharmonicity
+// must be finite and negative, and every half-width finite and >= 0. A
+// NaN would otherwise slip through, because every Table I comparison is
+// false on NaN and the criterion would silently never fire.
+func (p Params) Validate() error {
+	if !(p.Anharmonicity < 0) || math.IsInf(p.Anharmonicity, -1) {
+		return fmt.Errorf("collision: anharmonicity %g must be finite and negative for transmons", p.Anharmonicity)
+	}
+	for i, hw := range [...]float64{p.T1, p.T2, p.T3, p.T5, p.T6, p.T7} {
+		if !(hw >= 0) || math.IsInf(hw, 1) {
+			return fmt.Errorf("collision: half-width T%c = %g must be finite and non-negative", "123567"[i], hw)
+		}
+	}
+	return nil
+}
+
 // DefaultParams reproduces Table I: alpha = -0.330 GHz and the published
 // thresholds.
 func DefaultParams() Params {
@@ -91,11 +107,10 @@ type Checker struct {
 	edges  []edgeInfo
 	pairs  []topo.ControlPair
 
-	// The same criteria filed for SampleFree under the qubit whose
-	// placement completes them, by the rule internal/sampling's
-	// importance proposal uses: types 1-4 at max(U, V), types 5-6 at
-	// max(T1, T2), type 7 at the triple's maximum. Qubit q's criteria
-	// are the slices between ends[q-1] and ends[q].
+	// The same criteria filed under the qubit whose placement completes
+	// them, for SampleFree and Intervals: types 1-4 at max(U, V), types
+	// 5-6 at max(T1, T2), type 7 at the triple's maximum. Qubit q's
+	// criteria are the slices between ends[q-1] and ends[q].
 	ends     []bucketEnd
 	qEdges   []edgeInfo
 	qTargets []topo.ControlPair // types 5-6, on the two targets
@@ -241,16 +256,74 @@ func (c *Checker) SampleFree(r *runner.TrialRNG, mu []float64, sigma float64, f 
 	return true
 }
 
-// Violations returns every triggered criterion for assignment f.
-func (c *Checker) Violations(f []float64) []Violation {
-	return c.ViolationsInto(nil, f)
+// Window confines qubit q's frequency to [f_Ref + Lo, f_Ref + Hi]: the
+// type 4 straddle of a coupling whose other end Ref is placed before q.
+type Window struct {
+	Ref    int
+	Lo, Hi float64
 }
 
-// ViolationsInto appends every triggered criterion for assignment f to
-// dst and returns the extended slice. Hot loops pass dst[:0] to reuse
-// the backing array across trials instead of allocating per call.
-func (c *Checker) ViolationsInto(dst []Violation, f []float64) []Violation {
+// Band forbids qubit q the frequencies with
+// |f_q − (CA·f_A + CB·f_B + C0)| ≤ HW, where A and B are placed before
+// q. Types 1, 2, 3, 5 and 6 name one reference: B is −1, CA is 1 and CB
+// is 0. Type 7 names two.
+type Band struct {
+	A, B           int
+	CA, CB, C0, HW float64
+}
+
+// Intervals appends to wins and bands the interval form of every
+// criterion qubit q completes, and returns the extended slices. Once
+// the qubits q's criteria mention besides q are fixed, f_q violates one
+// of them exactly when it lies outside a window or inside a band. The
+// order is fixed: q's couplings (a window, then the type 1, 2 and 3
+// bands), then its type 5-6 target pairs, then its type 7 triples.
+func (c *Checker) Intervals(q int, wins []Window, bands []Band) ([]Window, []Band) {
 	p := &c.params
+	a := p.Anharmonicity
+	var lo bucketEnd
+	if q > 0 {
+		lo = c.ends[q-1]
+	}
+	hi := c.ends[q]
+	ref := func(o int, c0, hw float64) Band { return Band{A: o, B: -1, CA: 1, C0: c0, HW: hw} }
+	for _, e := range c.qEdges[lo.edges:hi.edges] {
+		// Type 4 keeps the target in [f_control + a, f_control]; type 2
+		// puts the resonance at f_target = f_control + a/2.
+		w, c2 := Window{Ref: e.target, Lo: 0, Hi: -a}, -a/2
+		if q == e.target {
+			w, c2 = Window{Ref: e.control, Lo: a, Hi: 0}, a/2
+		}
+		wins = append(wins, w)
+		bands = append(bands, ref(w.Ref, 0, p.T1), ref(w.Ref, c2, p.T2),
+			ref(w.Ref, a, p.T3), ref(w.Ref, -a, p.T3))
+	}
+	for _, cp := range c.qTargets[lo.targets:hi.targets] {
+		o := cp.T1
+		if q == cp.T1 {
+			o = cp.T2
+		}
+		bands = append(bands, ref(o, 0, p.T5), ref(o, a, p.T6), ref(o, -a, p.T6))
+	}
+	// Type 7: 2f_control + a = f_T1 + f_T2, solved for whichever of the
+	// three is placed last.
+	for _, cp := range c.qTriple[lo.triples:hi.triples] {
+		switch q {
+		case cp.Control:
+			bands = append(bands, Band{A: cp.T1, B: cp.T2, CA: 0.5, CB: 0.5, C0: -a / 2, HW: p.T7 / 2})
+		case cp.T1:
+			bands = append(bands, Band{A: cp.Control, B: cp.T2, CA: 2, CB: -1, C0: a, HW: p.T7})
+		default:
+			bands = append(bands, Band{A: cp.Control, B: cp.T1, CA: 2, CB: -1, C0: a, HW: p.T7})
+		}
+	}
+	return wins, bands
+}
+
+// Violations returns every triggered criterion for assignment f.
+func (c *Checker) Violations(f []float64) []Violation {
+	p := &c.params
+	var dst []Violation
 	for i := range c.edges {
 		e := &c.edges[i]
 		dst = appendEdgeViolations(dst, e.control, e.target, f[e.control], f[e.target], p)
@@ -353,19 +426,4 @@ func appendPairViolations(out []Violation, cp *topo.ControlPair, fi, fj, fk floa
 		}
 	}
 	return out
-}
-
-// CheckPair exposes the pairwise criteria (types 1-4) for a single
-// control/target frequency pair; used by tests and by the assembly stage
-// when vetting candidate inter-chip links. NaN or infinite frequencies
-// return NonFinite.
-func CheckPair(fControl, fTarget float64, p Params) int {
-	return edgeViolationType(fControl, fTarget, &p)
-}
-
-// CheckTriple exposes the spectator criteria (types 5-7) for a control
-// frequency and two target frequencies. NaN or infinite frequencies
-// return NonFinite.
-func CheckTriple(fControl, fT1, fT2 float64, p Params) int {
-	return pairViolationType(fControl, fT1, fT2, &p)
 }

@@ -46,15 +46,38 @@ func TestIdealAssignmentStepSweep(t *testing.T) {
 	}
 }
 
+func TestParamsValidate(t *testing.T) {
+	if err := DefaultParams().Validate(); err != nil {
+		t.Errorf("Table I invalid: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mut := range map[string]func(*Params){
+		"zero anharmonicity":     func(p *Params) { p.Anharmonicity = 0 },
+		"positive anharmonicity": func(p *Params) { p.Anharmonicity = 0.3 },
+		"NaN anharmonicity":      func(p *Params) { p.Anharmonicity = nan },
+		"-Inf anharmonicity":     func(p *Params) { p.Anharmonicity = -inf },
+		"negative T5":            func(p *Params) { p.T5 = -0.001 },
+		"NaN T1":                 func(p *Params) { p.T1 = nan },
+		"+Inf T1":                func(p *Params) { p.T1 = inf },
+		"NaN T7":                 func(p *Params) { p.T7 = nan },
+	} {
+		p := DefaultParams()
+		mut(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, p)
+		}
+	}
+}
+
 func TestType1NearNull(t *testing.T) {
 	p := DefaultParams()
-	if got := CheckPair(5.12, 5.12+0.016, p); got != 1 {
+	if got := edgeViolationType(5.12, 5.12+0.016, &p); got != 1 {
 		t.Errorf("detuning 0.016 should be type 1, got %d", got)
 	}
-	if got := CheckPair(5.12, 5.12-0.0169, p); got != 1 {
+	if got := edgeViolationType(5.12, 5.12-0.0169, &p); got != 1 {
 		t.Errorf("detuning -0.0169 should be type 1, got %d", got)
 	}
-	if got := CheckPair(5.12, 5.06, p); got != 0 {
+	if got := edgeViolationType(5.12, 5.06, &p); got != 0 {
 		t.Errorf("healthy 0.06 detuning flagged: type %d", got)
 	}
 }
@@ -62,10 +85,10 @@ func TestType1NearNull(t *testing.T) {
 func TestType2HalfAnharmonicity(t *testing.T) {
 	p := DefaultParams()
 	// fi + a/2 = fj: control 5.12, a = -0.330 -> fj near 4.955.
-	if got := CheckPair(5.12, 4.9551, p); got != 2 {
+	if got := edgeViolationType(5.12, 4.9551, &p); got != 2 {
 		t.Errorf("half-anharmonicity resonance should be type 2, got %d", got)
 	}
-	if got := CheckPair(5.12, 4.9499, p); got == 2 {
+	if got := edgeViolationType(5.12, 4.9499, &p); got == 2 {
 		t.Error("0.0051 away from resonance should not be type 2")
 	}
 }
@@ -73,11 +96,11 @@ func TestType2HalfAnharmonicity(t *testing.T) {
 func TestType3Anharmonicity(t *testing.T) {
 	p := DefaultParams()
 	// fi = fj + a: control 5.12, fj = 5.45 -> fi - fj = -0.33 = a.
-	if got := CheckPair(5.12, 5.44, p); got != 3 {
+	if got := edgeViolationType(5.12, 5.44, &p); got != 3 {
 		t.Errorf("anharmonicity detuning should be type 3, got %d", got)
 	}
 	// Symmetric direction: fj = fi + a = 4.79.
-	if got := CheckPair(5.12, 4.80, p); got != 3 {
+	if got := edgeViolationType(5.12, 4.80, &p); got != 3 {
 		t.Errorf("reverse anharmonicity detuning should be type 3, got %d", got)
 	}
 }
@@ -85,26 +108,26 @@ func TestType3Anharmonicity(t *testing.T) {
 func TestType4StraddlingRegime(t *testing.T) {
 	p := DefaultParams()
 	// Target above control: fails.
-	if got := CheckPair(5.0, 5.05, p); got != 4 {
+	if got := edgeViolationType(5.0, 5.05, &p); got != 4 {
 		t.Errorf("target above control should be type 4, got %d", got)
 	}
 	// Target far below the straddle (below fi + a, and outside type-3
 	// band): 5.12 - 0.33 - 0.05 = 4.74.
-	if got := CheckPair(5.12, 4.74, p); got != 4 {
+	if got := edgeViolationType(5.12, 4.74, &p); got != 4 {
 		t.Errorf("target below straddle should be type 4, got %d", got)
 	}
 	// Target inside the straddle: fine.
-	if got := CheckPair(5.12, 5.0, p); got != 0 {
+	if got := edgeViolationType(5.12, 5.0, &p); got != 0 {
 		t.Errorf("target inside straddle flagged: type %d", got)
 	}
 }
 
 func TestType5TargetsNearResonant(t *testing.T) {
 	p := DefaultParams()
-	if got := CheckTriple(5.12, 5.0, 5.012, p); got != 5 {
+	if got := pairViolationType(5.12, 5.0, 5.012, &p); got != 5 {
 		t.Errorf("near-resonant targets should be type 5, got %d", got)
 	}
-	if got := CheckTriple(5.12, 5.0, 5.06, p); got != 0 {
+	if got := pairViolationType(5.12, 5.0, 5.06, &p); got != 0 {
 		t.Errorf("distinct targets flagged: type %d", got)
 	}
 }
@@ -112,11 +135,11 @@ func TestType5TargetsNearResonant(t *testing.T) {
 func TestType6TargetAnharmonicity(t *testing.T) {
 	p := DefaultParams()
 	// fj = fk + a: fj = 5.0, fk = 5.33.
-	if got := CheckTriple(5.7, 5.0, 5.33, p); got != 6 {
+	if got := pairViolationType(5.7, 5.0, 5.33, &p); got != 6 {
 		t.Errorf("target anharmonicity gap should be type 6, got %d", got)
 	}
 	// Mirrored: fj + a = fk.
-	if got := CheckTriple(5.7, 5.33, 5.0, p); got != 6 {
+	if got := pairViolationType(5.7, 5.33, 5.0, &p); got != 6 {
 		t.Errorf("mirrored target anharmonicity gap should be type 6, got %d", got)
 	}
 }
@@ -129,7 +152,7 @@ func TestType7TwoPhoton(t *testing.T) {
 	if math.Abs(fj+fk-9.91) > 1e-9 {
 		t.Fatal("test construction broken")
 	}
-	if got := CheckTriple(5.12, fj, fk, p); got != 7 {
+	if got := pairViolationType(5.12, fj, fk, &p); got != 7 {
 		t.Errorf("two-photon resonance should be type 7, got %d", got)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"chipletqc/internal/topo"
 )
 
-// FuzzCheckPair fuzzes the pairwise criteria (types 1-4) over arbitrary
-// frequency pairs, asserting non-finite rejection and consistency with
+// FuzzCheckPair fuzzes edgeViolationType, the pairwise criteria (types
+// 1-4), over arbitrary frequency pairs, asserting non-finite rejection and consistency with
 // the exhaustive violation enumeration.
 func FuzzCheckPair(f *testing.F) {
 	p := DefaultParams()
@@ -32,27 +32,27 @@ func FuzzCheckPair(f *testing.F) {
 	f.Add(math.Inf(-1), 5.0)
 
 	f.Fuzz(func(t *testing.T, fi, fj float64) {
-		got := CheckPair(fi, fj, p)
+		got := edgeViolationType(fi, fj, &p)
 		nonFinite := math.IsNaN(fi) || math.IsInf(fi, 0) ||
 			math.IsNaN(fj) || math.IsInf(fj, 0)
 		if nonFinite {
 			if got != NonFinite {
-				t.Fatalf("CheckPair(%v, %v) = %d, want NonFinite for non-finite input", fi, fj, got)
+				t.Fatalf("edgeViolationType(%v, %v) = %d, want NonFinite for non-finite input", fi, fj, got)
 			}
 			return
 		}
 		if got == NonFinite {
-			t.Fatalf("CheckPair(%v, %v) = NonFinite for finite input", fi, fj)
+			t.Fatalf("edgeViolationType(%v, %v) = NonFinite for finite input", fi, fj)
 		}
-		// Consistency with the exhaustive enumeration: CheckPair returns
+		// Consistency with the exhaustive enumeration: edgeViolationType returns
 		// 0 iff no pairwise criterion triggers, and otherwise the first
 		// (lowest-numbered) triggered criterion.
 		all := appendEdgeViolations(nil, 0, 1, fi, fj, &p)
 		if (got == 0) != (len(all) == 0) {
-			t.Fatalf("CheckPair(%v, %v) = %d but enumeration found %v", fi, fj, got, all)
+			t.Fatalf("edgeViolationType(%v, %v) = %d but enumeration found %v", fi, fj, got, all)
 		}
 		if got != 0 && all[0].Type != got {
-			t.Fatalf("CheckPair(%v, %v) = %d but first enumerated violation is %v", fi, fj, got, all[0])
+			t.Fatalf("edgeViolationType(%v, %v) = %d but first enumerated violation is %v", fi, fj, got, all[0])
 		}
 		// Threshold semantics spot-checks on criteria 1-3 (inclusive <=).
 		if d := math.Abs(fi - fj); d <= p.T1 && got != 1 {
@@ -61,7 +61,8 @@ func FuzzCheckPair(f *testing.F) {
 	})
 }
 
-// FuzzCheckTriple fuzzes the spectator criteria (types 5-7).
+// FuzzCheckTriple fuzzes pairViolationType, the spectator criteria
+// (types 5-7).
 func FuzzCheckTriple(f *testing.F) {
 	p := DefaultParams()
 	a := p.Anharmonicity
@@ -77,26 +78,26 @@ func FuzzCheckTriple(f *testing.F) {
 	f.Add(5.0, 5.3, math.Inf(-1))
 
 	f.Fuzz(func(t *testing.T, fi, fj, fk float64) {
-		got := CheckTriple(fi, fj, fk, p)
+		got := pairViolationType(fi, fj, fk, &p)
 		nonFinite := math.IsNaN(fi) || math.IsInf(fi, 0) ||
 			math.IsNaN(fj) || math.IsInf(fj, 0) ||
 			math.IsNaN(fk) || math.IsInf(fk, 0)
 		if nonFinite {
 			if got != NonFinite {
-				t.Fatalf("CheckTriple(%v, %v, %v) = %d, want NonFinite", fi, fj, fk, got)
+				t.Fatalf("pairViolationType(%v, %v, %v) = %d, want NonFinite", fi, fj, fk, got)
 			}
 			return
 		}
 		if got == NonFinite {
-			t.Fatalf("CheckTriple(%v, %v, %v) = NonFinite for finite input", fi, fj, fk)
+			t.Fatalf("pairViolationType(%v, %v, %v) = NonFinite for finite input", fi, fj, fk)
 		}
 		cp := topo.ControlPair{Control: 0, T1: 1, T2: 2}
 		all := appendPairViolations(nil, &cp, fi, fj, fk, &p)
 		if (got == 0) != (len(all) == 0) {
-			t.Fatalf("CheckTriple(%v, %v, %v) = %d but enumeration found %v", fi, fj, fk, got, all)
+			t.Fatalf("pairViolationType(%v, %v, %v) = %d but enumeration found %v", fi, fj, fk, got, all)
 		}
 		if got != 0 && all[0].Type != got {
-			t.Fatalf("CheckTriple(%v, %v, %v) = %d but first enumerated violation is %v",
+			t.Fatalf("pairViolationType(%v, %v, %v) = %d but first enumerated violation is %v",
 				fi, fj, fk, got, all[0])
 		}
 		if d := math.Abs(fj - fk); d <= p.T5 && got != 5 {
@@ -108,14 +109,13 @@ func FuzzCheckTriple(f *testing.F) {
 // TestFreeMatchesViolations is the property test tying the two checker
 // entry points together: on random frequency vectors (including
 // occasional NaN/Inf injections), Free(f) holds exactly when
-// Violations(f) is empty, FreeInto agrees and reports a violation that
-// the enumeration also found, and ViolationsInto reuses its buffer.
+// Violations(f) is empty, and FreeInto agrees and reports a violation
+// that the enumeration also found.
 func TestFreeMatchesViolations(t *testing.T) {
 	d := topo.MonolithicDevice(topo.ChipSpec{DenseRows: 3, Width: 8})
 	c := NewChecker(d, DefaultParams())
 	r := rand.New(rand.NewSource(7))
 	f := make([]float64, d.N)
-	var scratch []Violation
 	var v Violation
 	for trial := 0; trial < 3000; trial++ {
 		for q := range f {
@@ -129,21 +129,17 @@ func TestFreeMatchesViolations(t *testing.T) {
 		case 9:
 			f[r.Intn(d.N)] = math.Inf(-1)
 		}
-		scratch = c.ViolationsInto(scratch[:0], f)
+		all := c.Violations(f)
 		free := c.Free(f)
-		if free != (len(scratch) == 0) {
-			t.Fatalf("trial %d: Free = %v but %d violations", trial, free, len(scratch))
-		}
-		if got := c.Violations(f); len(got) != len(scratch) {
-			t.Fatalf("trial %d: Violations/ViolationsInto disagree: %d vs %d",
-				trial, len(got), len(scratch))
+		if free != (len(all) == 0) {
+			t.Fatalf("trial %d: Free = %v but %d violations", trial, free, len(all))
 		}
 		if c.FreeInto(&v, f) != free {
 			t.Fatalf("trial %d: FreeInto disagrees with Free", trial)
 		}
 		if !free {
 			found := false
-			for _, w := range scratch {
+			for _, w := range all {
 				if w == v {
 					found = true
 					break
@@ -151,7 +147,7 @@ func TestFreeMatchesViolations(t *testing.T) {
 			}
 			if !found {
 				t.Fatalf("trial %d: FreeInto reported %v, absent from enumeration %v",
-					trial, v, scratch)
+					trial, v, all)
 			}
 		}
 	}

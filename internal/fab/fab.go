@@ -15,6 +15,7 @@ package fab
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"chipletqc/internal/runner"
@@ -44,14 +45,14 @@ func DefaultModel() Model {
 
 // Validate reports whether the model parameters are physical.
 func (m Model) Validate() error {
-	if m.Sigma < 0 {
-		return fmt.Errorf("fab: negative sigma %g", m.Sigma)
+	if !(m.Sigma >= 0) || math.IsInf(m.Sigma, 1) {
+		return fmt.Errorf("fab: sigma %g must be finite and non-negative", m.Sigma)
 	}
-	if m.Plan.Step <= 0 {
-		return fmt.Errorf("fab: non-positive frequency step %g", m.Plan.Step)
+	if !(m.Plan.Step > 0) || math.IsInf(m.Plan.Step, 1) {
+		return fmt.Errorf("fab: frequency step %g must be finite and positive", m.Plan.Step)
 	}
-	if m.Plan.Base <= 0 {
-		return fmt.Errorf("fab: non-positive base frequency %g", m.Plan.Base)
+	if !(m.Plan.Base > 0) || math.IsInf(m.Plan.Base, 1) {
+		return fmt.Errorf("fab: base frequency %g must be finite and positive", m.Plan.Base)
 	}
 	return nil
 }

@@ -18,6 +18,12 @@ func TestModelValidate(t *testing.T) {
 		{Plan: topo.DefaultFreqPlan, Sigma: -1},
 		{Plan: topo.FreqPlan{Base: 5, Step: 0}, Sigma: 0.01},
 		{Plan: topo.FreqPlan{Base: 0, Step: 0.06}, Sigma: 0.01},
+		{Plan: topo.DefaultFreqPlan, Sigma: math.NaN()},
+		{Plan: topo.DefaultFreqPlan, Sigma: math.Inf(1)},
+		{Plan: topo.FreqPlan{Base: 5, Step: math.NaN()}, Sigma: 0.01},
+		{Plan: topo.FreqPlan{Base: 5, Step: math.Inf(1)}, Sigma: 0.01},
+		{Plan: topo.FreqPlan{Base: math.NaN(), Step: 0.06}, Sigma: 0.01},
+		{Plan: topo.FreqPlan{Base: math.Inf(1), Step: 0.06}, Sigma: 0.01},
 	}
 	for _, m := range bad {
 		if err := m.Validate(); err == nil {

@@ -83,5 +83,18 @@ func BenchmarkPlainSampleInto(b *testing.B) {
 	benchSink = sink
 }
 
+// BenchmarkNewImportance builds the importance estimator for the
+// paper's 200-qubit device: its collision checker, then the proposal
+// tables from the checker's intervals.
+func BenchmarkNewImportance(b *testing.B) {
+	d, m, p := benchDevice(b, 200)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(Spec{Method: Importance}, d, m, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchSink defeats dead-code elimination of the benchmarked calls.
 var benchSink float64

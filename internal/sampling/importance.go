@@ -22,8 +22,9 @@ import (
 // 6, and 7 each forbid one or two bands |f_q − center| ≤ T with the
 // center an affine function of already-placed frequencies, and type 4
 // requires the control/target pair to straddle (f_q confined to a
-// window of width |anharmonicity|). Each criterion is attached to the
-// highest-indexed qubit it mentions, so by the time qubit q is placed
+// window of width |anharmonicity|). collision.Checker.Intervals hands
+// over each criterion in that form, attached to the highest-indexed
+// qubit it mentions, so by the time qubit q is placed
 // the allowed set A_q — the type-4 window intersection minus the union
 // of forbidden bands — is fully determined by f_0..f_{q−1}, and after
 // the last qubit every criterion has been enforced: the sample is
@@ -49,11 +50,11 @@ import (
 // truncation (~1e-15 relative, conservative; see gausstab.go) — both
 // orders of magnitude below any reachable statistical precision.
 // The estimate is unbiased because the proposal's support is exactly
-// the collision-free set (and y ≡ 1 there — the engine's independent
-// collision audit doubles as a guard: a construction bug could only
-// shrink the support's *effective* contribution through y = 0, never
-// inflate the estimate... a trial whose partial assignment has no free
-// completion gets w = 0 and still counts). The decisive property for
+// the collision-free set (and y ≡ 1 there; a trial whose partial
+// assignment has no free completion gets w = 0 and still counts). The
+// engine's collision audit guards that claim: it checks samples with
+// the Table I predicates rather than the intervals they were drawn
+// from, and a sample it rejects fails the run. The decisive property for
 // deep-low-yield scenarios: every trial carries yield information —
 // there are no wasted almost-certain failures — and w ≤ 1·(1 + ~1e-5)
 // always (each mass factor is a probability and the density ratio is 1
@@ -81,12 +82,12 @@ import (
 // stream, and PlanBlock is a no-op — so the estimate is bit-identical
 // at any worker count.
 type importance struct {
-	d      *topo.Device
 	m      fab.Model
 	minESS float64
 
-	mu  []float64 // per-qubit plan target (GHz), hoisted from Plan.Target
-	tab *gaussTable
+	mu      []float64 // per-qubit plan target (GHz), hoisted from Plan.Target
+	tab     *gaussTable
+	checker *collision.Checker
 
 	// Flattened per-qubit constraint tables, all constants in z units.
 	winOff []int32
@@ -138,137 +139,70 @@ func (e *BandLimitError) Error() string {
 }
 
 func newImportance(c Spec, d *topo.Device, m fab.Model, p collision.Params) (*importance, error) {
+	checker := collision.NewChecker(d, p)
+	// The table sizes are capacity hints, so the estimator built per
+	// Simulate call allocates each table once: a coupling completes one
+	// window and four bands, a control pair three one-reference bands
+	// and one two-reference band.
 	e := &importance{
-		d:      d,
-		m:      m,
-		minESS: c.MinESS,
-		tab:    gaussTab,
-		mu:     m.Targets(d),
+		m:       m,
+		minESS:  c.MinESS,
+		tab:     gaussTab,
+		mu:      m.Targets(d),
+		checker: checker,
+		winOff:  make([]int32, d.N+1),
+		win:     make([]zWindow, 0, checker.Edges()),
+		b1Off:   make([]int32, d.N+1),
+		b1:      make([]zBand1, 0, 4*checker.Edges()+3*checker.Pairs()),
+		b2Off:   make([]int32, d.N+1),
+		b2:      make([]zBand2, 0, checker.Pairs()),
 	}
-	edges := d.G.Edges()
-	cps := d.ControlPairs()
-
-	// Two passes — count, then fill — so the flattened tables are
-	// allocated exactly once (the estimator is built per Simulate call;
-	// per-qubit append chains would dominate the engine's allocs/op).
-	nWin := make([]int32, d.N+1)
-	nB1 := make([]int32, d.N+1)
-	nB2 := make([]int32, d.N+1)
-	for _, edge := range edges {
-		q := max(edge.U, edge.V)
-		nWin[q+1]++
-		nB1[q+1] += 4 // T1, T2, T3×2
-	}
-	for _, cp := range cps {
-		nB1[max(cp.T1, cp.T2)+1] += 3 // T5, T6×2
-		nB2[max(cp.Control, max(cp.T1, cp.T2))+1]++
-	}
-	for q := 0; q < d.N; q++ {
-		if n := int(nB1[q+1] + nB2[q+1]); n > maxSeqBands {
-			return nil, &BandLimitError{Qubit: q, Bands: n, Limit: maxSeqBands}
-		}
-		nWin[q+1] += nWin[q]
-		nB1[q+1] += nB1[q]
-		nB2[q+1] += nB2[q]
-	}
-	e.winOff, e.b1Off, e.b2Off = nWin, nB1, nB2
-	e.win = make([]zWindow, nWin[d.N])
-	e.b1 = make([]zBand1, nB1[d.N])
-	e.b2 = make([]zBand2, nB2[d.N])
-
+	var winBuf [maxSeqBands]collision.Window
+	var bandBuf [maxSeqBands]collision.Band
 	invSigma := 1 / m.Sigma
-	curW := make([]int32, d.N)
-	curB1 := make([]int32, d.N)
-	curB2 := make([]int32, d.N)
-	copy(curW, nWin)
-	copy(curB1, nB1)
-	copy(curB2, nB2)
-	a := p.Anharmonicity
-	// band1 forbids |f_q − (f_o + c0)| ≤ hw, stored pre-standardized:
-	// z_q ∈ [z_o + (mu_o + c0 − hw − mu_q)/σ, … + 2hw/σ].
-	band1 := func(q, o int, c0, hw float64) {
-		e.b1[curB1[q]] = zBand1{ref: int32(o),
-			lo: (e.mu[o] + c0 - hw - e.mu[q]) * invSigma, w: 2 * hw * invSigma}
-		curB1[q]++
-	}
-	for _, edge := range edges {
-		ctl := d.ControlOf(edge.U, edge.V)
-		tgt := d.TargetOf(edge.U, edge.V)
-		q, o := ctl, tgt
-		if tgt > ctl {
-			q, o = tgt, ctl
-		}
-		// Type 4: the target must lie in [f_control + a, f_control].
-		lo, hi := 0.0, -a
-		if q == tgt {
-			lo, hi = a, 0
-		}
-		e.win[curW[q]] = zWindow{ref: int32(o),
-			lo: (e.mu[o] + lo - e.mu[q]) * invSigma,
-			hi: (e.mu[o] + hi - e.mu[q]) * invSigma}
-		curW[q]++
-		// Type 1: f_i = f_j ± T1 — symmetric in the pair.
-		band1(q, o, 0, p.T1)
-		// Type 2: f_control + a/2 = f_target ± T2.
-		if q == tgt {
-			band1(q, o, a/2, p.T2)
-		} else {
-			band1(q, o, -a/2, p.T2)
-		}
-		// Type 3: f_i = f_j + a ± T3, either orientation.
-		band1(q, o, a, p.T3)
-		band1(q, o, -a, p.T3)
-	}
-	// band2 forbids |f_q − (ca·f_a + cb·f_b + c0)| ≤ hw, standardized
-	// with the placed qubits' own coefficients kept on their z values.
-	band2 := func(q, qa, qb int, ca, cb, c0, hw float64) {
-		e.b2[curB2[q]] = zBand2{a: int32(qa), b: int32(qb), ca: ca, cb: cb,
-			lo: (ca*e.mu[qa] + cb*e.mu[qb] + c0 - hw - e.mu[q]) * invSigma,
-			w:  2 * hw * invSigma}
-		curB2[q]++
-	}
-	for _, cp := range cps {
-		i, j, k := cp.Control, cp.T1, cp.T2
-		// Types 5 and 6 mention only the two targets.
-		q, o := j, k
-		if k > j {
-			q, o = k, j
-		}
-		band1(q, o, 0, p.T5)
-		band1(q, o, a, p.T6)
-		band1(q, o, -a, p.T6)
-		// Type 7: 2f_i + a = f_j + f_k ± T7, attached to the last-placed
-		// of the triple.
-		switch {
-		case i > j && i > k:
-			band2(i, j, k, 0.5, 0.5, -a/2, p.T7/2)
-		case j > k:
-			band2(j, i, k, 2, -1, a, p.T7)
-		default:
-			band2(k, i, j, 2, -1, a, p.T7)
-		}
-	}
-	// Pre-sort each qubit's bands by their constant offset: bands sharing
-	// a reference qubit then stay in realized order every trial, so the
-	// hot path's insertion sort runs on nearly-sorted input.
 	for q := 0; q < d.N; q++ {
-		b := e.b1[nB1[q]:nB1[q+1]]
+		wins, bands := checker.Intervals(q, winBuf[:0], bandBuf[:0])
+		if len(bands) > maxSeqBands {
+			return nil, &BandLimitError{Qubit: q, Bands: len(bands), Limit: maxSeqBands}
+		}
+		// Each constraint is stored standardised: f_q's bounds become
+		// z_q's, offset from the references' own z values.
+		for _, w := range wins {
+			e.win = append(e.win, zWindow{ref: int32(w.Ref),
+				lo: (e.mu[w.Ref] + w.Lo - e.mu[q]) * invSigma,
+				hi: (e.mu[w.Ref] + w.Hi - e.mu[q]) * invSigma})
+		}
+		for _, b := range bands {
+			if b.B < 0 {
+				e.b1 = append(e.b1, zBand1{ref: int32(b.A),
+					lo: (e.mu[b.A] + b.C0 - b.HW - e.mu[q]) * invSigma, w: 2 * b.HW * invSigma})
+				continue
+			}
+			e.b2 = append(e.b2, zBand2{a: int32(b.A), b: int32(b.B), ca: b.CA, cb: b.CB,
+				lo: (b.CA*e.mu[b.A] + b.CB*e.mu[b.B] + b.C0 - b.HW - e.mu[q]) * invSigma,
+				w:  2 * b.HW * invSigma})
+		}
+		// Pre-sort the qubit's one-reference bands by their constant
+		// offset: bands sharing a reference qubit then stay in realized
+		// order every trial, so the hot path's insertion sort runs on
+		// nearly-sorted input.
+		b := e.b1[e.b1Off[q]:]
 		for i := 1; i < len(b); i++ {
 			for j := i; j > 0 && b[j-1].lo > b[j].lo; j-- {
 				b[j-1], b[j] = b[j], b[j-1]
 			}
 		}
+		e.winOff[q+1] = int32(len(e.win))
+		e.b1Off[q+1] = int32(len(e.b1))
+		e.b2Off[q+1] = int32(len(e.b2))
 	}
 	return e, nil
 }
 
 func (e *importance) Name() string { return Importance }
 
-// FreeByConstruction reports that every finite-weight sample this
-// estimator produces satisfies the collision criteria by construction,
-// so the engine may downgrade its independent per-trial collision check
-// to a sampled audit.
-func (e *importance) FreeByConstruction() bool { return true }
+// Checker returns the checker whose Intervals built the proposal.
+func (e *importance) Checker() *collision.Checker { return e.checker }
 
 func (e *importance) PlanBlock(lo, hi int) {}
 
@@ -276,7 +210,7 @@ func (e *importance) SampleInto(r *runner.TrialRNG, i int, buf []float64) float6
 	var starts, ends [maxSeqBands]float64
 	var pLo, pHi, pMass [maxSeqBands + 1]float64
 	tab := e.tab
-	n := e.d.N
+	n := len(e.mu)
 	// Placed values accumulate in z units; the weight accumulates as a
 	// running product of m̃_q/g_q factors (flushed to logw before it can
 	// overflow — 1/g can reach ~1e16 per deep-tail qubit) plus Σ z²/2

@@ -40,14 +40,7 @@ func (e *plain) SampleInto(r *runner.TrialRNG, i int, buf []float64) float64 {
 	return 0
 }
 
-// FreeByConstruction reports that every completed sample passed the
-// Table I criteria, so the engine's own check is only a sampled audit.
-func (e *plain) FreeByConstruction() bool { return true }
-
-// Checker returns the checker the trials run, built for the thresholds
-// New was given, so the engine can audit with it instead of building a
-// second one per simulation. An audit still catches a bucketing bug:
-// Checker.Free walks the criteria lists, not SampleFree's buckets.
+// Checker returns the checker whose SampleFree runs the trials.
 func (e *plain) Checker() *collision.Checker { return e.checker }
 
 func (e *plain) Observe(i int, ok bool, logw float64) { e.p.Add(ok) }

@@ -168,14 +168,20 @@ type Estimator interface {
 	HalfWidth(z float64) float64
 	// Snapshot reports the current estimate with its CI at quantile z.
 	Snapshot(z float64) Estimate
+	// Checker returns the collision checker the estimator was built
+	// from, for the thresholds New was given. Every estimator is free by
+	// construction: a finite-weight sample satisfies Table I. The engine
+	// audits that claim with Checker.Free, which evaluates the
+	// predicates, not the buckets or intervals the samples came from.
+	Checker() *collision.Checker
 }
 
 // New constructs the estimator a spec selects, bound to one device,
 // fabrication model, and set of collision thresholds. The zero spec
-// yields the plain estimator. The thresholds define which draws the
-// plain estimator counts as collision-free and parameterise the
-// importance estimator's conditioned proposal; they MUST match the
-// checker the engine audits trials with, or the audits report failures.
+// yields the plain estimator. Both estimators build one
+// collision.Checker for the thresholds: plain's trials run its
+// SampleFree, importance's proposal comes from its Intervals, and the
+// engine audits either with its Free.
 func New(spec Spec, d *topo.Device, m fab.Model, p collision.Params) (Estimator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -185,8 +191,8 @@ func New(spec Spec, d *topo.Device, m fab.Model, p collision.Params) (Estimator,
 	case "", Plain:
 		return newPlain(d, m, p), nil
 	case Importance:
-		if m.Sigma <= 0 {
-			return nil, fmt.Errorf("sampling: importance sampling needs a positive fabrication sigma (got %g)", m.Sigma)
+		if !(m.Sigma > 0) || math.IsInf(m.Sigma, 1) {
+			return nil, fmt.Errorf("sampling: importance sampling needs a finite positive fabrication sigma (got %g)", m.Sigma)
 		}
 		// newImportance validates the per-qubit band counts against the
 		// sequential proposal's scratch capacity and returns a typed

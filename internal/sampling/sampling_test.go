@@ -148,6 +148,8 @@ func TestNewRejectsUnusableConfigs(t *testing.T) {
 	d := topo.MonolithicDevice(topo.MonolithicSpec(16))
 	deterministic := fab.DefaultModel()
 	deterministic.Sigma = 0
+	nan, inf := fab.DefaultModel(), fab.DefaultModel()
+	nan.Sigma, inf.Sigma = math.NaN(), math.Inf(1)
 	p := collision.DefaultParams()
 	cases := []struct {
 		name string
@@ -156,6 +158,8 @@ func TestNewRejectsUnusableConfigs(t *testing.T) {
 	}{
 		{"unknown method", Spec{Method: "bogus"}, fab.DefaultModel()},
 		{"importance without noise", Spec{Method: Importance}, deterministic},
+		{"importance with NaN sigma", Spec{Method: Importance}, nan},
+		{"importance with infinite sigma", Spec{Method: Importance}, inf},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.spec, d, tc.m, p); err == nil {

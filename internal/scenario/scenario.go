@@ -31,6 +31,7 @@ package scenario
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"strings"
 
 	"chipletqc/internal/assembly"
@@ -176,24 +177,11 @@ func (s Scenario) Validate() error {
 	if err := s.Fab.Validate(); err != nil {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	if s.Params.Anharmonicity >= 0 {
-		return fmt.Errorf("scenario %q: anharmonicity %g must be negative for transmons",
-			s.Name, s.Params.Anharmonicity)
+	if err := s.Params.Validate(); err != nil {
+		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	for _, hw := range []struct {
-		name string
-		v    float64
-	}{
-		{"T1", s.Params.T1}, {"T2", s.Params.T2}, {"T3", s.Params.T3},
-		{"T5", s.Params.T5}, {"T6", s.Params.T6}, {"T7", s.Params.T7},
-	} {
-		if hw.v < 0 {
-			return fmt.Errorf("scenario %q: collision half-width %s = %g is negative",
-				s.Name, hw.name, hw.v)
-		}
-	}
-	if s.Link.Sigma < 0 {
-		return fmt.Errorf("scenario %q: link sigma %g is negative", s.Name, s.Link.Sigma)
+	if !(s.Link.Sigma >= 0) || math.IsInf(s.Link.Sigma, 1) {
+		return fmt.Errorf("scenario %q: link sigma %g must be finite and non-negative", s.Name, s.Link.Sigma)
 	}
 	if err := s.Detuning.Validate(); err != nil {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)

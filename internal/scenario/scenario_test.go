@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -147,6 +148,35 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		{"negative reshuffles", func(s *Scenario) { s.Assembly.MaxReshuffles = -1 }},
 		{"zero mono batch", func(s *Scenario) { s.Trials.MonoBatch = 0 }},
 		{"negative precision", func(s *Scenario) { s.Trials.Precision = -0.1 }},
+	}
+	for _, c := range cases {
+		s := newPaper()
+		c.mut(&s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the scenario", c.name)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: a NaN fails every sign check, and a NaN
+// anharmonicity silently switches off Table I types 2, 3, 4, 6 and 7,
+// so each of these must be refused rather than simulated.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(*Scenario)
+	}{
+		{"NaN anharmonicity", func(s *Scenario) { s.Params.Anharmonicity = nan }},
+		{"-Inf anharmonicity", func(s *Scenario) { s.Params.Anharmonicity = -inf }},
+		{"NaN T1", func(s *Scenario) { s.Params.T1 = nan }},
+		{"+Inf T1", func(s *Scenario) { s.Params.T1 = inf }},
+		{"NaN T7", func(s *Scenario) { s.Params.T7 = nan }},
+		{"NaN fab sigma", func(s *Scenario) { s.Fab.Sigma = nan }},
+		{"+Inf fab sigma", func(s *Scenario) { s.Fab.Sigma = inf }},
+		{"NaN plan step", func(s *Scenario) { s.Fab.Plan.Step = nan }},
+		{"NaN link sigma", func(s *Scenario) { s.Link.Sigma = nan }},
+		{"+Inf link sigma", func(s *Scenario) { s.Link.Sigma = inf }},
 	}
 	for _, c := range cases {
 		s := newPaper()

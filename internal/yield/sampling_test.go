@@ -2,6 +2,7 @@ package yield
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -102,9 +103,6 @@ func TestEstimatorsAgreeOnMidYield(t *testing.T) {
 		ra := results[a]
 		t.Logf("%-11s yield=%.5g ci=[%.5g, %.5g] ess=%.0f trials=%d",
 			a, ra.Fraction(), ra.CILo, ra.CIHi, ra.ESS, ra.Batch)
-		if ra.AuditFailures != 0 {
-			t.Errorf("%s: %d audit failures, want 0", a, ra.AuditFailures)
-		}
 		if ra.Fraction() < ra.CILo || ra.Fraction() > ra.CIHi {
 			t.Errorf("%s: point estimate %v outside its own CI [%v, %v]",
 				a, ra.Fraction(), ra.CILo, ra.CIHi)
@@ -180,17 +178,14 @@ func TestResolveSamplingMethod(t *testing.T) {
 	}
 }
 
-// constructedStub is a plain estimator that claims its samples are
-// collision-free by construction but hands trial bad a colliding
-// device (every qubit on one frequency); the other trials get the
-// collision-free plan targets.
+// constructedStub is a plain estimator that hands trial bad a
+// colliding device (every qubit on one frequency) with a finite weight;
+// the other trials get the collision-free plan targets.
 type constructedStub struct {
 	sampling.Estimator
 	mu  []float64
 	bad int
 }
-
-func (constructedStub) FreeByConstruction() bool { return true }
 
 func (e constructedStub) SampleInto(_ *runner.TrialRNG, i int, buf []float64) float64 {
 	copy(buf, e.mu)
@@ -202,29 +197,29 @@ func (e constructedStub) SampleInto(_ *runner.TrialRNG, i int, buf []float64) fl
 	return 0
 }
 
-// TestAuditFailureIsCounted: a construction-free estimator whose sample
-// fails the engine's audit must surface in Result.AuditFailures, not
-// only as an ordinary failed trial.
+// TestAuditFailureIsCounted: an estimator sample that fails the
+// engine's audit must fail the run with an *AuditError carrying the
+// count, not only count as an ordinary failed trial.
 func TestAuditFailureIsCounted(t *testing.T) {
 	d := topo.MonolithicDevice(topo.MonolithicSpec(12))
 	cfg := testConfig()
 	cfg.Batch = 500
-	checker := collision.NewChecker(d, cfg.Params)
-	mu := cfg.Model.Targets(d)
-	if !checker.Free(mu) {
-		t.Fatal("plan targets collide; the stub needs a collision-free default sample")
-	}
 	plain, err := sampling.New(sampling.Spec{Method: sampling.Plain}, d, cfg.Model, cfg.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := constructedStub{Estimator: plain, mu: mu, bad: 137}
-	res, err := simulateEstimated(context.Background(), d, cfg, checker, est)
-	if err != nil {
-		t.Fatal(err)
+	mu := cfg.Model.Targets(d)
+	if !plain.Checker().Free(mu) {
+		t.Fatal("plan targets collide; the stub needs a collision-free default sample")
 	}
-	if res.AuditFailures != 1 {
-		t.Errorf("audit failures = %d, want 1", res.AuditFailures)
+	est := constructedStub{Estimator: plain, mu: mu, bad: 137}
+	res, err := simulateEstimated(context.Background(), d, cfg, est)
+	var ae *AuditError
+	if !errors.As(err, &ae) {
+		t.Fatalf("error %v, want *AuditError", err)
+	}
+	if *ae != (AuditError{Device: d.Name, Estimator: sampling.Plain, Count: 1}) {
+		t.Errorf("audit error %+v, want 1 failure of plain on %s", *ae, d.Name)
 	}
 	if res.Batch != cfg.Batch || res.Free != cfg.Batch-1 {
 		t.Errorf("free %d of %d trials, want %d of %d", res.Free, res.Batch, cfg.Batch-1, cfg.Batch)

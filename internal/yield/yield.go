@@ -154,13 +154,22 @@ type Result struct {
 	Estimator string
 	Yield     float64
 	ESS       float64
+}
 
-	// AuditFailures counts the sampled audit trials whose frequencies
-	// an estimator declared collision-free by construction but the
-	// engine's independent checker rejected: a proposal construction
-	// bug. Such trials count as failures too. It is telemetry, kept out
-	// of every fingerprint and rendering, and is 0 on a healthy run.
-	AuditFailures int `json:"-"`
+// AuditError reports a simulation whose sampled audits caught Count
+// trials that the estimator built as collision-free but the engine's
+// checker rejected. It is an estimator construction bug, never an
+// outcome of a healthy run, so Simulate fails rather than return a
+// biased yield.
+type AuditError struct {
+	Device    string
+	Estimator string
+	Count     int
+}
+
+func (e *AuditError) Error() string {
+	return fmt.Sprintf("yield: %s: %d %s samples failed the collision audit (estimator bug)",
+		e.Device, e.Count, e.Estimator)
 }
 
 // Fraction returns the collision-free yield in [0, 1]: the estimator's
@@ -189,6 +198,9 @@ func (r Result) String() string {
 // checkpointed blocks until the 95% CI half-width reaches the target or
 // the MaxTrials/Batch budget is spent. Cancelling ctx aborts the
 // campaign within one in-flight trial per worker and returns ctx.Err().
+// A trial that fails the engine's collision audit makes the call return
+// an *AuditError: the estimator is broken, and its yield is not to be
+// trusted.
 func Simulate(ctx context.Context, d *topo.Device, cfg Config) (Result, error) {
 	if max, _ := cfg.budget(); max <= 0 {
 		return Result{Device: d.Name, Qubits: d.N, CIHi: 1}, ctx.Err()
@@ -197,15 +209,7 @@ func Simulate(ctx context.Context, d *topo.Device, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// Plain's trials already run a checker for these thresholds; the
-	// audits reuse it rather than building a second one per call.
-	var checker *collision.Checker
-	if c, ok := est.(interface{ Checker() *collision.Checker }); ok {
-		checker = c.Checker()
-	} else {
-		checker = collision.NewChecker(d, cfg.Params)
-	}
-	res, err := simulateEstimated(ctx, d, cfg, checker, est)
+	res, err := simulateEstimated(ctx, d, cfg, est)
 	if cfg.Sampling.IsZero() {
 		// The zero spec counts with the plain estimator but stays
 		// unlabelled, so its results render as they always have.
@@ -223,35 +227,21 @@ func (c Config) budget() (max int, adaptive bool) {
 	return c.Batch, adaptive
 }
 
-// freeByConstruction is implemented by estimators whose every
-// finite-weight sample satisfies the collision criteria by construction
-// (plain's early-exit trial, the sequential conditioned proposal),
-// letting the engine downgrade its independent per-trial collision
-// check to a sampled audit.
-type freeByConstruction interface{ FreeByConstruction() bool }
-
-// auditEvery is the sampled-audit period for construction-free
-// estimators: every auditEvery-th trial still runs the engine's
-// independent collision checker against the sampled frequencies, so an
-// estimator bug is caught within one checkpoint block while the other
-// trials skip the check, which would otherwise double the importance
-// path's per-trial cost. Test builds and -race builds audit every trial.
-// It is a power of two, so picking the audited trials is a mask.
+// auditEvery is the sampled-audit period: every auditEvery-th trial
+// still runs the engine's independent collision check against the
+// sampled frequencies, so an estimator bug is caught within one
+// checkpoint block while the other trials skip the check, which would
+// otherwise double the importance path's per-trial cost. It is a power
+// of two, so picking the audited trials is a mask.
 const auditEvery = 64
 
-// auditPeriod resolves the audit period for one estimator: 1 (check
-// every trial) unless the estimator declares itself free by
-// construction, and always 1 under `go test` or the race detector.
-// constructed reports that declaration: only then is a checker
-// rejection an audit failure rather than an ordinary collision.
-func auditPeriod(est sampling.Estimator) (period int, constructed bool) {
-	if f, ok := est.(freeByConstruction); ok && f.FreeByConstruction() {
-		if testing.Testing() || race.Enabled {
-			return 1, true
-		}
-		return auditEvery, true
+// auditPeriod returns auditEvery, or 1 (audit every trial) under
+// `go test` or the race detector.
+func auditPeriod() int {
+	if testing.Testing() || race.Enabled {
+		return 1
 	}
-	return 1, false
+	return auditEvery
 }
 
 // simulateEstimated is Simulate's Monte Carlo loop: trials carry a log
@@ -260,9 +250,9 @@ func auditPeriod(est sampling.Estimator) (period int, constructed bool) {
 // adaptive stopping asks the estimator for its (possibly weighted,
 // ESS-guarded) half-width. Worker-count invariance holds because block
 // planning, observation and stop decisions all happen on the
-// coordinating goroutine at the fixed checkpoint grid.
-func simulateEstimated(ctx context.Context, d *topo.Device, cfg Config,
-	checker *collision.Checker, est sampling.Estimator) (Result, error) {
+// coordinating goroutine at the fixed checkpoint grid. A failed audit
+// returns the finished result together with an *AuditError.
+func simulateEstimated(ctx context.Context, d *topo.Device, cfg Config, est sampling.Estimator) (Result, error) {
 	max, adaptive := cfg.budget()
 	lastEmit := -1
 	emit := func(done int) {
@@ -271,21 +261,21 @@ func simulateEstimated(ctx context.Context, d *topo.Device, cfg Config,
 			cfg.Progress(Event{Label: d.Name, Done: done, Total: max})
 		}
 	}
-	audit, constructed := auditPeriod(est)
+	checker, audit := est.Checker(), auditPeriod()
 	type outcome struct {
 		ok, auditFailed bool
 		logw            float64
 	}
 	trial := func(l runner.Scratch, i int) outcome {
 		logw := est.SampleInto(l.RNG.At(cfg.Seed, i), i, l.Buf)
-		// A dead end (-Inf weight) is a failure regardless; otherwise a
-		// construction-free sample passes unless its audit trial says no.
-		// The audit depends only on the trial index, preserving
+		// A dead end (-Inf weight) is a failure regardless; any other
+		// sample is collision-free by construction unless its audit says
+		// no. The audit depends only on the trial index, preserving
 		// worker-count invariance.
 		o := outcome{ok: !math.IsInf(logw, -1), logw: logw}
 		if o.ok && i&(audit-1) == 0 {
 			o.ok = checker.Free(l.Buf)
-			o.auditFailed = constructed && !o.ok
+			o.auditFailed = !o.ok
 		}
 		return o
 	}
@@ -319,13 +309,16 @@ func simulateEstimated(ctx context.Context, d *topo.Device, cfg Config,
 	}
 	emit(trials)
 	e := est.Snapshot(stats.Z95)
-	return Result{
+	res := Result{
 		Device: d.Name, Qubits: d.N,
 		Batch: e.Trials, Free: e.Successes,
 		CILo: e.CILo, CIHi: e.CIHi,
 		Estimator: e.Estimator, Yield: e.Yield, ESS: e.ESS,
-		AuditFailures: auditFailures,
-	}, nil
+	}
+	if auditFailures > 0 {
+		return res, &AuditError{Device: d.Name, Estimator: est.Name(), Count: auditFailures}
+	}
+	return res, nil
 }
 
 // Point is one (qubits, yield) sample of a yield-vs-size curve, with
