@@ -89,7 +89,7 @@ func BenchmarkAblationLinkAwareRouting(b *testing.B) {
 		for _, g := range r.Compiled.Gates {
 			if g.IsTwoQubit() {
 				total++
-				if dev.IsLink(g.Qubits[0], g.Qubits[1]) {
+				if dev.IsLink(int(g.Qubits()[0]), int(g.Qubits()[1])) {
 					links++
 				}
 			}

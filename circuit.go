@@ -14,7 +14,8 @@ import (
 type (
 	// Circuit is the ordered gate-list IR.
 	Circuit = circuit.Circuit
-	// Gate is one circuit operation.
+	// Gate is one circuit operation: an opcode with inline operands,
+	// read through Name(), Qubits() and Param.
 	Gate = circuit.Gate
 	// GateCounts bundles the Table II metrics (1q / 2q / 2q critical).
 	GateCounts = circuit.Counts

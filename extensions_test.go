@@ -59,7 +59,7 @@ func TestCompileWithOptionsFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range res.Compiled.Gates {
-		if g.IsTwoQubit() && !dev.G.HasEdge(g.Qubits[0], g.Qubits[1]) {
+		if g.IsTwoQubit() && !dev.G.HasEdge(int(g.Qubits()[0]), int(g.Qubits()[1])) {
 			t.Fatalf("unrouted gate %v", g)
 		}
 	}

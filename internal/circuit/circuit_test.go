@@ -1,8 +1,11 @@
 package circuit
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestNewPanicsOnZeroQubits(t *testing.T) {
@@ -14,6 +17,43 @@ func TestNewPanicsOnZeroQubits(t *testing.T) {
 	New(0)
 }
 
+func TestNewPanicsAboveOperandRange(t *testing.T) {
+	n := math.MaxInt
+	if n <= math.MaxInt32 {
+		t.Skip("int is 32 bits: every int fits an operand")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("expected panic for %d qubits", n)
+		}
+	}()
+	New(n)
+}
+
+// TestGateIsPointerFree pins the gate IR: a gate holding no pointer
+// keeps gate lists out of the GC's mark phase and write barriers.
+func TestGateIsPointerFree(t *testing.T) {
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+			reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %v", path, typ.Kind())
+		case reflect.Array:
+			walk(typ.Elem(), path+"[i]")
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Gate{}), "Gate")
+	if size := unsafe.Sizeof(Gate{}); size > 24 {
+		t.Errorf("Gate is %d bytes, want at most 24", size)
+	}
+}
+
 func TestAppendValidation(t *testing.T) {
 	c := New(3)
 	bad := []func(){
@@ -22,6 +62,9 @@ func TestAppendValidation(t *testing.T) {
 		func() { c.Append("h", 0, 5) },           // out of range
 		func() { c.Append("cx", 0, 1, 1) },       // repeated operand
 		func() { c.Append("ccx", 0, 0, 1, 100) }, // out of range
+		func() { c.Add(Op(0), 0, 0) },            // unknown opcode
+		func() { c.Add(Op(200), 0, 0) },          // unknown opcode
+		func() { c.Add(OpCX, 0, 0, -1) },         // out of range
 	}
 	for i, fn := range bad {
 		func() {
@@ -123,8 +166,8 @@ func TestClone(t *testing.T) {
 	c.CX(0, 1)
 	cl := c.Clone()
 	cl.X(1)
-	cl.Gates[0].Qubits[0] = 1
-	if len(c.Gates) != 2 || c.Gates[0].Qubits[0] != 0 {
+	cl.Gates[0] = cl.Gates[1]
+	if len(c.Gates) != 2 || c.Gates[0].Op() != OpH {
 		t.Error("Clone must not alias the original")
 	}
 }
@@ -223,13 +266,57 @@ func TestAppendOperandsAreCapped(t *testing.T) {
 	c := New(3)
 	c.CX(0, 1)
 	c.CX(1, 2)
-	// Growing one gate's operands must not reach its neighbour's.
-	_ = append(c.Gates[0].Qubits, 2)
+	q := c.Gates[0].Qubits()
+	if len(q) != 2 || cap(q) != len(q) {
+		t.Fatalf("Qubits() = %v with cap %d, want a capped 2-operand view", q, cap(q))
+	}
+	// Growing or editing the view must reach neither gate.
+	_ = append(q, 2)
+	q[0] = 2
+	if got := c.Gates[0].String(); got != "cx q0,q1" {
+		t.Errorf("first gate = %q after editing its operand view", got)
+	}
 	if got := c.Gates[1].String(); got != "cx q1,q2" {
 		t.Errorf("second gate = %q after appending to the first's operands", got)
 	}
-	c.Gates[0].Qubits[0] = 2
-	if got := c.Gates[1].String(); got != "cx q1,q2" {
-		t.Errorf("second gate = %q after editing the first's operands", got)
+}
+
+// benchCircuit returns a mixed circuit over 64 qubits: 1q rotations,
+// CX, CZ, SWAP and Toffoli gates, the shapes the benchmark suite uses.
+func benchCircuit() *Circuit {
+	const n = 64
+	c := New(n)
+	for i := 0; i < 1000; i++ {
+		q := i % n
+		switch i % 5 {
+		case 0:
+			c.H(q)
+		case 1:
+			c.RZ(q, 0.25)
+		case 2:
+			c.CX(q, (q+1)%n)
+		case 3:
+			c.SWAP(q, (q+7)%n)
+		default:
+			c.CCX(q, (q+1)%n, (q+2)%n)
+		}
+	}
+	return c
+}
+
+// BenchmarkAppend builds a 1000-gate circuit through the constructors.
+func BenchmarkAppend(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		benchCircuit()
+	}
+}
+
+// BenchmarkDecompose lowers a 1000-gate circuit to the native basis.
+func BenchmarkDecompose(b *testing.B) {
+	c := benchCircuit()
+	b.ReportAllocs()
+	for b.Loop() {
+		Decompose(c)
 	}
 }

@@ -6,38 +6,34 @@ package circuit
 // already in the basis pass through unchanged.
 func Decompose(c *Circuit) *Circuit {
 	out := New(c.NumQubits)
-	n := 0
+	n := len(c.Gates)
 	for _, g := range c.Gates {
-		n += loweredLen(g.Name)
+		switch g.op {
+		case OpSWAP, OpCZ:
+			n += 2
+		case OpCCX:
+			n += 14
+		}
 	}
 	out.Gates = make([]Gate, 0, n)
 	for _, g := range c.Gates {
-		switch g.Name {
-		case "swap":
-			emitSwap(out, g.Qubits[0], g.Qubits[1])
-		case "cz":
+		q := g.Qubits()
+		switch g.op {
+		case OpSWAP:
+			emitSwap(out, int(q[0]), int(q[1]))
+		case OpCZ:
 			// CZ = (I x H) CX (I x H).
-			out.H(g.Qubits[1])
-			out.CX(g.Qubits[0], g.Qubits[1])
-			out.H(g.Qubits[1])
-		case "ccx":
-			emitToffoli(out, g.Qubits[0], g.Qubits[1], g.Qubits[2])
+			out.H(int(q[1]))
+			out.CX(int(q[0]), int(q[1]))
+			out.H(int(q[1]))
+		case OpCCX:
+			emitToffoli(out, int(q[0]), int(q[1]), int(q[2]))
 		default:
-			out.Append(g.Name, g.Param, g.Qubits...)
+			// Already native, and valid: c's Add checked it.
+			out.push(g)
 		}
 	}
 	return out
-}
-
-// loweredLen returns the number of gates Decompose emits for one gate.
-func loweredLen(name string) int {
-	switch name {
-	case "swap", "cz":
-		return 3
-	case "ccx":
-		return 15
-	}
-	return 1
 }
 
 // emitSwap writes SWAP(a, b) as three alternating CX gates.
@@ -73,7 +69,7 @@ func IsNative(c *Circuit) bool {
 		if g.IsOneQubit() {
 			continue
 		}
-		if g.Name != "cx" {
+		if g.op != OpCX {
 			return false
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -14,35 +15,24 @@ import (
 // is lossless.
 func ToQASM(c *Circuit, w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "OPENQASM 2.0;")
-	fmt.Fprintln(bw, `include "qelib1.inc";`)
-	fmt.Fprintf(bw, "qreg q[%d];\n", c.NumQubits)
+	fmt.Fprintf(bw, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[%d];\n", c.NumQubits)
 	for _, g := range c.Gates {
-		if err := writeQASMGate(bw, g); err != nil {
-			return err
+		if !g.op.valid() {
+			return fmt.Errorf("circuit: gate %v has no QASM form", g.op)
 		}
+		s := g.Name()
+		if g.op.hasParam() {
+			s += "(" + strconv.FormatFloat(g.Param, 'g', 17, 64) + ")"
+		}
+		sep := " "
+		for _, q := range g.Qubits() {
+			s += fmt.Sprintf("%sq[%d]", sep, q)
+			sep = ","
+		}
+		fmt.Fprintf(bw, "%s;\n", s)
 	}
+	// A write error sticks to bw, so Flush reports it.
 	return bw.Flush()
-}
-
-func writeQASMGate(w io.Writer, g Gate) error {
-	a, ok := arity[g.Name]
-	if !ok {
-		return fmt.Errorf("circuit: gate %q has no QASM form", g.Name)
-	}
-	operands := make([]string, len(g.Qubits))
-	for i, q := range g.Qubits {
-		operands[i] = fmt.Sprintf("q[%d]", q)
-	}
-	var err error
-	if a.hasParam {
-		_, err = fmt.Fprintf(w, "%s(%s) %s;\n",
-			g.Name, strconv.FormatFloat(g.Param, 'g', 17, 64),
-			strings.Join(operands, ","))
-	} else {
-		_, err = fmt.Fprintf(w, "%s %s;\n", g.Name, strings.Join(operands, ","))
-	}
-	return err
 }
 
 // QASMString returns the circuit's QASM text.
@@ -118,10 +108,13 @@ func parseQASMStatement(c *Circuit, stmt string, line int) (*Circuit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("circuit: line %d: %w", line, err)
 	}
-	if _, ok := arity[name]; !ok {
+	op, ok := opNamed(name)
+	if !ok {
 		return nil, fmt.Errorf("circuit: line %d: unsupported gate %q", line, name)
 	}
-	c.Append(name, param, qubits...)
+	if err := c.add(op, param, qubits); err != nil {
+		return nil, fmt.Errorf("circuit: line %d: %w", line, err)
+	}
 	return c, nil
 }
 
@@ -132,7 +125,7 @@ func parseQregSize(stmt string) (int, error) {
 		return 0, fmt.Errorf("malformed qreg %q", stmt)
 	}
 	n, err := strconv.Atoi(strings.TrimSpace(stmt[lb+1 : rb]))
-	if err != nil || n < 1 {
+	if err != nil || n < 1 || n > math.MaxInt32 {
 		return 0, fmt.Errorf("bad qreg size in %q", stmt)
 	}
 	return n, nil
@@ -153,6 +146,9 @@ func parseQASMGate(stmt string) (name string, param float64, qubits []int, err e
 		}
 		name = head[:lp]
 		param, err = parseQASMParam(head[lp+1 : rp])
+		if err == nil && (math.IsNaN(param) || math.IsInf(param, 0)) {
+			err = fmt.Errorf("angle %v is not finite", param)
+		}
 		if err != nil {
 			return "", 0, nil, fmt.Errorf("bad parameter in %q: %w", stmt, err)
 		}
@@ -180,52 +176,40 @@ func parseQASMParam(s string) (float64, error) {
 	if v, err := strconv.ParseFloat(s, 64); err == nil {
 		return v, nil
 	}
-	neg := false
-	if strings.HasPrefix(s, "-") {
-		neg = true
-		s = strings.TrimSpace(s[1:])
-	}
-	val := 1.0
-	// Split on '/' first: numerator / denominator.
-	num, den := s, ""
-	if i := strings.Index(s, "/"); i >= 0 {
-		num, den = strings.TrimSpace(s[:i]), strings.TrimSpace(s[i+1:])
-	}
-	n, err := parsePiProduct(num)
+	rest, neg := strings.CutPrefix(s, "-")
+	num, den, _ := strings.Cut(strings.TrimSpace(rest), "/")
+	v, err := parsePiProduct(strings.TrimSpace(num))
 	if err != nil {
 		return 0, err
 	}
-	val = n
-	if den != "" {
+	if den = strings.TrimSpace(den); den != "" {
 		d, err := strconv.ParseFloat(den, 64)
 		if err != nil || d == 0 {
 			return 0, fmt.Errorf("bad denominator %q", den)
 		}
-		val /= d
+		v /= d
 	}
 	if neg {
-		val = -val
+		v = -v
 	}
-	return val, nil
+	return v, nil
 }
 
 // parsePiProduct parses "pi", "2*pi", "pi*3", or a plain float.
 func parsePiProduct(s string) (float64, error) {
-	const pi = 3.141592653589793
-	if s == "pi" {
-		return pi, nil
-	}
-	if i := strings.Index(s, "*"); i >= 0 {
-		a, b := strings.TrimSpace(s[:i]), strings.TrimSpace(s[i+1:])
-		av, aerr := parsePiProduct(a)
-		if aerr != nil {
-			return 0, aerr
+	if a, b, ok := strings.Cut(s, "*"); ok {
+		av, err := parsePiProduct(strings.TrimSpace(a))
+		if err != nil {
+			return 0, err
 		}
-		bv, berr := parsePiProduct(b)
-		if berr != nil {
-			return 0, berr
+		bv, err := parsePiProduct(strings.TrimSpace(b))
+		if err != nil {
+			return 0, err
 		}
 		return av * bv, nil
+	}
+	if s == "pi" {
+		return math.Pi, nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {

@@ -3,6 +3,7 @@ package circuit
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -29,7 +30,8 @@ func TestQASMExportBasics(t *testing.T) {
 	}
 }
 
-func TestQASMRoundTrip(t *testing.T) {
+// allGates returns a circuit using every gate of the vocabulary.
+func allGates() *Circuit {
 	c := New(4)
 	c.H(0)
 	c.X(1)
@@ -42,7 +44,11 @@ func TestQASMRoundTrip(t *testing.T) {
 	c.CZ(1, 2)
 	c.SWAP(2, 3)
 	c.CCX(0, 1, 3)
+	return c
+}
 
+func TestQASMRoundTrip(t *testing.T) {
+	c := allGates()
 	parsed, err := FromQASM(strings.NewReader(QASMString(c)))
 	if err != nil {
 		t.Fatal(err)
@@ -55,12 +61,12 @@ func TestQASMRoundTrip(t *testing.T) {
 	}
 	for i := range c.Gates {
 		a, b := c.Gates[i], parsed.Gates[i]
-		if a.Name != b.Name || math.Abs(a.Param-b.Param) > 1e-15 {
+		if a.Name() != b.Name() || math.Abs(a.Param-b.Param) > 1e-15 {
 			t.Errorf("gate %d: %v != %v", i, a, b)
 		}
-		for j := range a.Qubits {
-			if a.Qubits[j] != b.Qubits[j] {
-				t.Errorf("gate %d operand %d: %d != %d", i, j, a.Qubits[j], b.Qubits[j])
+		for j, q := range a.Qubits() {
+			if q != b.Qubits()[j] {
+				t.Errorf("gate %d operand %d: %d != %d", i, j, q, b.Qubits()[j])
 			}
 		}
 	}
@@ -94,7 +100,7 @@ func TestQASMRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for i := range c.Gates {
-			if c.Gates[i].Name != parsed.Gates[i].Name ||
+			if c.Gates[i].Name() != parsed.Gates[i].Name() ||
 				c.Gates[i].Param != parsed.Gates[i].Param {
 				return false
 			}
@@ -106,8 +112,7 @@ func TestQASMRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestFromQASMPiExpressions(t *testing.T) {
-	src := `OPENQASM 2.0;
+const piExpressionsQASM = `OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[2];
 rz(pi) q[0];
@@ -116,7 +121,9 @@ ry(-pi/4) q[0];
 rz(2*pi) q[1];
 rx(pi*3/4) q[0];
 `
-	c, err := FromQASM(strings.NewReader(src))
+
+func TestFromQASMPiExpressions(t *testing.T) {
+	c, err := FromQASM(strings.NewReader(piExpressionsQASM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +138,7 @@ rx(pi*3/4) q[0];
 	}
 }
 
-func TestFromQASMIgnoresNoise(t *testing.T) {
-	src := `OPENQASM 2.0;
+const noisyQASM = `OPENQASM 2.0;
 // a comment line
 include "qelib1.inc";
 qreg q[2];
@@ -141,7 +147,9 @@ h q[0]; cx q[0],q[1];   // trailing comment
 barrier q[0],q[1];
 measure q[0] -> c[0];
 `
-	c, err := FromQASM(strings.NewReader(src))
+
+func TestFromQASMIgnoresNoise(t *testing.T) {
+	c, err := FromQASM(strings.NewReader(noisyQASM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,24 +158,67 @@ measure q[0] -> c[0];
 	}
 }
 
+// badQASM holds inputs FromQASM must reject with an error, not a panic.
+var badQASM = []string{
+	"",                                // no qreg
+	"h q[0];",                         // gate before qreg
+	"qreg q[2];\nqreg p[3];",          // duplicate qreg
+	"qreg q[0];",                      // bad size
+	"qreg q[2147483648];",             // size above the operand range
+	"qreg q[2];\nfrob q[0];",          // unknown gate
+	"qreg q[2];\nrz(nope) q[0];",      // bad parameter
+	"qreg q[2];\nrz(inf) q[0];",       // non-finite parameter
+	"qreg q[2];\nrz(-nan) q[0];",      // non-finite parameter
+	"qreg q[2];\ncx q[0],q[9];",       // out-of-range operand
+	"qreg q[2];\nh q[5];",             // out-of-range operand
+	"qreg q[2];\nh q[-1];",            // negative operand
+	"qreg q[2];\ncx q[0];",            // too few operands
+	"qreg q[2];\ncx q[1],q[1];",       // repeated operand
+	"qreg q[2];\nrx(0.5) q[0],q[1];",  // too many operands
+	"qreg q[4];\nccx q[0],q[1],q[0];", // repeated operand
+}
+
 func TestFromQASMErrors(t *testing.T) {
-	cases := []string{
-		"",                           // no qreg
-		"h q[0];",                    // gate before qreg
-		"qreg q[2];\nqreg p[3];",     // duplicate qreg
-		"qreg q[0];",                 // bad size
-		"qreg q[2];\nfrob q[0];",     // unknown gate
-		"qreg q[2];\nrz(nope) q[0];", // bad parameter
-		"qreg q[2];\ncx q[0],q[9];",  // out-of-range operand (panics -> guard)
+	for i, src := range badQASM {
+		if _, err := FromQASM(strings.NewReader(src)); err == nil {
+			t.Errorf("case %d: expected error for %q", i, src)
+		} else if src != "" && !strings.Contains(err.Error(), "line ") {
+			t.Errorf("case %d: error %q names no line", i, err)
+		}
 	}
-	for i, src := range cases {
-		func() {
-			defer func() { recover() }() // Append panics count as rejection
-			if _, err := FromQASM(strings.NewReader(src)); err == nil {
-				t.Errorf("case %d: expected error for %q", i, src)
+}
+
+// FuzzFromQASM checks that the decoder never panics and that whatever
+// it accepts survives a ToQASM/FromQASM round trip bit for bit.
+func FuzzFromQASM(f *testing.F) {
+	f.Add(QASMString(allGates()))
+	f.Add(piExpressionsQASM)
+	f.Add(noisyQASM)
+	for _, src := range badQASM {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := FromQASM(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		back, err := FromQASM(strings.NewReader(QASMString(c)))
+		if err != nil {
+			t.Fatalf("re-reading %q: %v", QASMString(c), err)
+		}
+		if back.NumQubits != c.NumQubits || len(back.Gates) != len(c.Gates) {
+			t.Fatalf("round trip gave %d qubits, %d gates; want %d, %d",
+				back.NumQubits, len(back.Gates), c.NumQubits, len(c.Gates))
+		}
+		for i, g := range c.Gates {
+			b := back.Gates[i]
+			if g.Op() != b.Op() || !slices.Equal(g.Qubits(), b.Qubits()) ||
+				math.Float64bits(g.Param) != math.Float64bits(b.Param) {
+				t.Errorf("gate %d: %v (param bits %x) came back as %v (%x)",
+					i, g, math.Float64bits(g.Param), b, math.Float64bits(b.Param))
 			}
-		}()
-	}
+		}
+	})
 }
 
 func TestQASMStringDeterministic(t *testing.T) {

@@ -55,7 +55,8 @@ func New(dev *topo.Device, opts Options) *Compiler {
 }
 
 // Compile maps circuit c onto the Compiler's device; see the package
-// Compile for the errors it returns.
+// Compile for the errors it returns. It only reads the Compiler, so
+// any number of goroutines may call it at once.
 func (cp *Compiler) Compile(c *circuit.Circuit) (*Result, error) {
 	dev := cp.dev
 	if c.NumQubits > dev.N {
@@ -117,13 +118,14 @@ func (cp *Compiler) route(native *circuit.Circuit, layout []int, out *circuit.Ci
 	}
 
 	for _, g := range native.Gates {
+		q := g.Qubits()
 		switch {
 		case g.IsOneQubit():
 			if out != nil {
-				out.Append(g.Name, g.Param, pos[g.Qubits[0]])
+				out.Add(g.Op(), g.Param, pos[q[0]])
 			}
 		case g.IsTwoQubit():
-			a, b := g.Qubits[0], g.Qubits[1]
+			a, b := q[0], q[1]
 			for {
 				u, v := pos[a], pos[b]
 				var hop int
@@ -162,11 +164,11 @@ func (cp *Compiler) route(native *circuit.Circuit, layout []int, out *circuit.Ci
 				swaps++
 			}
 			if out != nil {
-				out.Append(g.Name, g.Param, pos[a], pos[b])
+				out.Add(g.Op(), g.Param, pos[a], pos[b])
 			}
 		default:
 			return nil, 0, fmt.Errorf("compiler: unexpected %d-qubit gate %q after lowering",
-				len(g.Qubits), g.Name)
+				len(q), g.Op())
 		}
 	}
 	return pos, swaps, nil

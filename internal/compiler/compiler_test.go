@@ -25,7 +25,7 @@ func TestCompileRejectsOversizedCircuit(t *testing.T) {
 func checkRouted(t *testing.T, r *Result, dev *topo.Device) {
 	t.Helper()
 	for _, g := range r.Compiled.Gates {
-		if g.IsTwoQubit() && !dev.G.HasEdge(g.Qubits[0], g.Qubits[1]) {
+		if g.IsTwoQubit() && !dev.G.HasEdge(int(g.Qubits()[0]), int(g.Qubits()[1])) {
 			t.Fatalf("gate %v not on a device coupling", g)
 		}
 	}
@@ -58,7 +58,7 @@ func TestCompileOnMCMDevice(t *testing.T) {
 	// The GHZ chain must cross chips: some compiled gates use links.
 	usesLink := false
 	for _, g := range r.Compiled.Gates {
-		if g.IsTwoQubit() && dev.IsLink(g.Qubits[0], g.Qubits[1]) {
+		if g.IsTwoQubit() && dev.IsLink(int(g.Qubits()[0]), int(g.Qubits()[1])) {
 			usesLink = true
 			break
 		}

@@ -77,7 +77,7 @@ func TestLinkAwareRoutingReducesLinkTraffic(t *testing.T) {
 	countLinkGates := func(r *Result) int {
 		n := 0
 		for _, g := range r.Compiled.Gates {
-			if g.IsTwoQubit() && dev.IsLink(g.Qubits[0], g.Qubits[1]) {
+			if g.IsTwoQubit() && dev.IsLink(int(g.Qubits()[0]), int(g.Qubits()[1])) {
 				n++
 			}
 		}
@@ -96,7 +96,7 @@ func TestLinkAwareRoutingReducesLinkTraffic(t *testing.T) {
 		}
 		// Routed circuits stay valid.
 		for _, g := range aware.Compiled.Gates {
-			if g.IsTwoQubit() && !dev.G.HasEdge(g.Qubits[0], g.Qubits[1]) {
+			if g.IsTwoQubit() && !dev.G.HasEdge(int(g.Qubits()[0]), int(g.Qubits()[1])) {
 				t.Fatalf("%s: link-aware gate %v not on coupling", bs.Short, g)
 			}
 		}
@@ -124,7 +124,7 @@ func TestErrorAwareRoutingImprovesFidelity(t *testing.T) {
 		var sum float64
 		for _, g := range res.Compiled.Gates {
 			if g.IsTwoQubit() {
-				sum += math.Log1p(-a.Get(g.Qubits[0], g.Qubits[1]))
+				sum += math.Log1p(-a.Get(int(g.Qubits()[0]), int(g.Qubits()[1])))
 			}
 		}
 		return sum

@@ -46,7 +46,7 @@ func TestCompileRandomCircuitsProperty(t *testing.T) {
 			return false
 		}
 		for _, g := range res.Compiled.Gates {
-			if g.IsTwoQubit() && !dev.G.HasEdge(g.Qubits[0], g.Qubits[1]) {
+			if g.IsTwoQubit() && !dev.G.HasEdge(int(g.Qubits()[0]), int(g.Qubits()[1])) {
 				return false
 			}
 		}

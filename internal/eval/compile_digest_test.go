@@ -32,7 +32,7 @@ const (
 func digestResult(h hash.Hash, label string, r *compiler.Result) {
 	fmt.Fprintf(h, "%s\n", label)
 	for _, g := range r.Compiled.Gates {
-		fmt.Fprintf(h, "%s %x %v\n", g.Name, math.Float64bits(g.Param), g.Qubits)
+		fmt.Fprintf(h, "%s %x %v\n", g.Name(), math.Float64bits(g.Param), g.Qubits())
 	}
 	fmt.Fprintf(h, "initial %v\nfinal %v\ncounts %+v\n", r.InitialLayout, r.FinalLayout, r.Counts)
 }

@@ -71,7 +71,8 @@ func (x *edgeIndex) gateEdges(c *circuit.Circuit) []int32 {
 	ids := make([]int32, 0, len(c.Gates))
 	for _, g := range c.Gates {
 		if g.IsTwoQubit() {
-			ids = append(ids, x.id(g.Qubits[0], g.Qubits[1]))
+			q := g.Qubits()
+			ids = append(ids, x.id(int(q[0]), int(q[1])))
 		}
 	}
 	return ids

@@ -24,7 +24,7 @@ func perGateLogFidelity(r *compiler.Result, a noise.Assignment) float64 {
 		if !g.IsTwoQubit() {
 			continue
 		}
-		e := a.Get(g.Qubits[0], g.Qubits[1])
+		e := a.Get(int(g.Qubits()[0]), int(g.Qubits()[1]))
 		if e >= 1 {
 			return math.Inf(-1)
 		}
@@ -49,7 +49,7 @@ func TestTableLogFidelityMatchesPerGateFormula(t *testing.T) {
 		var used []graph.Edge
 		for _, g := range res.Compiled.Gates {
 			if g.IsTwoQubit() {
-				used = append(used, graph.NewEdge(g.Qubits[0], g.Qubits[1]))
+				used = append(used, graph.NewEdge(int(g.Qubits()[0]), int(g.Qubits()[1])))
 			}
 		}
 		mid, last := used[len(used)/2], used[len(used)-1]

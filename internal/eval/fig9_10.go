@@ -208,7 +208,6 @@ func Fig10(ctx context.Context, cfg Config, grids []mcm.Grid, samples int) ([]Fi
 // fig10System evaluates the benchmark suite on one MCM system against
 // its monolithic counterpart.
 func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, det *noise.DetuningModel) ([]Fig10Point, error) {
-	var out []Fig10Point
 	// MCM side: assemble instances from a wafer-area-scaled batch
 	// and keep the best `samples` (equal-count selection, matching
 	// the Fig. 9 comparison semantics).
@@ -263,15 +262,17 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 		}
 	}
 
+	// The benchmarks fan out over the workers: each compiles through
+	// the read-only Compilers and tables above, and MapErr returns the
+	// points in suite order with the lowest-index error.
 	width := qbench.UtilizedQubits(g.Qubits())
-	for _, bs := range qbench.Suite() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	suite := qbench.Suite()
+	return runner.MapErr(ctx, len(suite), cfg.Workers, func(i int) (Fig10Point, error) {
+		bs := suite[i]
 		circ := bs.Generate(width, cfg.Seed+seedOffFig10Circuits)
 		mcmRes, err := mcmComp.Compile(circ)
 		if err != nil {
-			return nil, fmt.Errorf("fig10 %v %s (mcm): %w", g, bs.Short, err)
+			return Fig10Point{}, fmt.Errorf("fig10 %v %s (mcm): %w", g, bs.Short, err)
 		}
 		p := Fig10Point{
 			Grid:   g,
@@ -283,20 +284,19 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 		if len(monoAssignments) == 0 {
 			p.MonoZero = true
 			p.LogRatio = math.Inf(1)
-		} else {
-			monoRes, err := monoComp.Compile(circ)
-			if err != nil {
-				return nil, fmt.Errorf("fig10 %v %s (mono): %w", g, bs.Short, err)
-			}
-			if len(mods) == 0 {
-				p.LogRatio = math.NaN()
-			} else {
-				p.LogRatio = meanLog(mcmIdx, mcmRes, mcmTables) - meanLog(monoIdx, monoRes, monoTables)
-			}
+			return p, nil
 		}
-		out = append(out, p)
-	}
-	return out, nil
+		monoRes, err := monoComp.Compile(circ)
+		if err != nil {
+			return Fig10Point{}, fmt.Errorf("fig10 %v %s (mono): %w", g, bs.Short, err)
+		}
+		if len(mods) == 0 {
+			p.LogRatio = math.NaN()
+		} else {
+			p.LogRatio = meanLog(mcmIdx, mcmRes, mcmTables) - meanLog(monoIdx, monoRes, monoTables)
+		}
+		return p, nil
+	})
 }
 
 // meanLog returns the mean log fidelity of one compiled circuit over

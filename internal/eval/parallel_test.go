@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"chipletqc/internal/mcm"
+	"chipletqc/internal/topo"
 )
 
 // tinyConfig is a reduced-scale experiment configuration for the
@@ -60,28 +61,49 @@ func TestFig9WorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestFig10WorkerCountInvariance covers the MapErr fan-out and the
-// chunked monoInstances scan.
+// TestFig10WorkerCountInvariance covers the MapErr fan-outs and the
+// chunked monoInstances scan. The one-grid case hands fig10System the
+// whole worker budget, so its benchmark fan-out runs in parallel.
 func TestFig10WorkerCountInvariance(t *testing.T) {
-	grids := mcm.EnumerateGrids(80)
-	serial, err := runFig10(t, tinyConfig(13, 1), grids, 2)
+	spec, err := topo.SpecForQubits(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := runFig10(t, tinyConfig(13, 8), grids, 2)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		grids   []mcm.Grid
+		workers int
+	}{
+		{"all-grids", mcm.EnumerateGrids(80), 8},
+		{"one-grid", []mcm.Grid{{Rows: 2, Cols: 2, Spec: spec}}, 4},
 	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("point counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		a, b := serial[i], parallel[i]
-		same := a.Grid == b.Grid && a.Bench == b.Bench && a.TwoQ == b.TwoQ &&
-			a.MonoZero == b.MonoZero && floatsEqualOrBothNaN(a.LogRatio, b.LogRatio)
-		if !same {
-			t.Errorf("point %d diverged: %+v vs %+v", i, a, b)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			serial, err := runFig10(t, tinyConfig(13, 1), tc.grids, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := runFig10(t, tinyConfig(13, tc.workers), tc.grids, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(serial) != len(parallel) {
+				t.Fatalf("point counts differ: %d vs %d", len(serial), len(parallel))
+			}
+			compared := false
+			for i := range serial {
+				a, b := serial[i], parallel[i]
+				same := a.Grid == b.Grid && a.Bench == b.Bench && a.TwoQ == b.TwoQ &&
+					a.MonoZero == b.MonoZero && floatsEqualOrBothNaN(a.LogRatio, b.LogRatio)
+				if !same {
+					t.Errorf("point %d diverged: %+v vs %+v", i, a, b)
+				}
+				compared = compared || !math.IsInf(a.LogRatio, 0) && !math.IsNaN(a.LogRatio)
+			}
+			if !compared {
+				t.Error("no point compared an MCM against a monolithic population")
+			}
+		})
 	}
 }
 

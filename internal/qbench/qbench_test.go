@@ -111,9 +111,9 @@ func TestRegularishDegrees(t *testing.T) {
 	// given ring + matching, typically 3.
 	deg := make(map[int]int)
 	for _, g := range c.Gates {
-		if g.Name == "cx" {
-			deg[g.Qubits[0]]++
-			deg[g.Qubits[1]]++
+		if g.Op() == circuit.OpCX {
+			deg[int(g.Qubits()[0])]++
+			deg[int(g.Qubits()[1])]++
 		}
 	}
 	for q, d := range deg {

@@ -58,12 +58,12 @@ func (r NoisyResult) SuccessFraction() float64 {
 }
 
 // pauliOps enumerates the 15 non-identity two-qubit Paulis as pairs of
-// single-qubit gate names ("" = identity on that operand).
-var pauliOps = [15][2]string{
-	{"", "x"}, {"", "y"}, {"", "z"},
-	{"x", ""}, {"x", "x"}, {"x", "y"}, {"x", "z"},
-	{"y", ""}, {"y", "x"}, {"y", "y"}, {"y", "z"},
-	{"z", ""}, {"z", "x"}, {"z", "y"}, {"z", "z"},
+// single-qubit opcodes (the zero Op = identity on that operand).
+var pauliOps = [15][2]circuit.Op{
+	{0, circuit.OpX}, {0, circuit.OpY}, {0, circuit.OpZ},
+	{circuit.OpX, 0}, {circuit.OpX, circuit.OpX}, {circuit.OpX, circuit.OpY}, {circuit.OpX, circuit.OpZ},
+	{circuit.OpY, 0}, {circuit.OpY, circuit.OpX}, {circuit.OpY, circuit.OpY}, {circuit.OpY, circuit.OpZ},
+	{circuit.OpZ, 0}, {circuit.OpZ, circuit.OpX}, {circuit.OpZ, circuit.OpY}, {circuit.OpZ, circuit.OpZ},
 }
 
 // RunNoisy executes the circuit cfg.Trajectories times under stochastic
@@ -91,15 +91,15 @@ func RunNoisy(c *circuit.Circuit, cfg NoisyConfig, success func(*State) bool) (N
 			if !g.IsTwoQubit() {
 				continue
 			}
-			p := cfg.Errors.Err[graph.NewEdge(g.Qubits[0], g.Qubits[1])]
+			q := g.Qubits()
+			p := cfg.Errors.Err[graph.NewEdge(int(q[0]), int(q[1]))]
 			if p <= 0 || r.Float64() >= p {
 				continue
 			}
 			clean = false
-			op := pauliOps[r.Intn(len(pauliOps))]
-			for k, name := range op {
-				if name != "" {
-					s.Apply(circuit.Gate{Name: name, Qubits: []int{g.Qubits[k]}})
+			for k, op := range pauliOps[r.Intn(len(pauliOps))] {
+				if op != 0 {
+					s.applyPauli(op, int(q[k]))
 				}
 			}
 		}

@@ -127,48 +127,57 @@ var (
 	sqrt2inv = complex(1/math.Sqrt2, 0)
 )
 
-// Apply executes one gate. Unknown gate names panic: the simulator and
+// Apply executes one gate. Unknown opcodes panic: the simulator and
 // the circuit package share one gate vocabulary by construction.
 func (s *State) Apply(g circuit.Gate) {
-	switch g.Name {
-	case "h":
-		s.apply1Q(g.Qubits[0], sqrt2inv, sqrt2inv, sqrt2inv, -sqrt2inv)
-	case "x":
-		s.apply1Q(g.Qubits[0], 0, 1, 1, 0)
-	case "y":
-		s.apply1Q(g.Qubits[0], 0, complex(0, -1), complex(0, 1), 0)
-	case "z":
-		s.apply1Q(g.Qubits[0], 1, 0, 0, -1)
-	case "s":
-		s.apply1Q(g.Qubits[0], 1, 0, 0, complex(0, 1))
-	case "sdg":
-		s.apply1Q(g.Qubits[0], 1, 0, 0, complex(0, -1))
-	case "t":
-		s.apply1Q(g.Qubits[0], 1, 0, 0, cmplx.Exp(complex(0, math.Pi/4)))
-	case "tdg":
-		s.apply1Q(g.Qubits[0], 1, 0, 0, cmplx.Exp(complex(0, -math.Pi/4)))
-	case "rx":
+	q := g.Qubits()
+	switch g.Op() {
+	case circuit.OpH:
+		s.apply1Q(int(q[0]), sqrt2inv, sqrt2inv, sqrt2inv, -sqrt2inv)
+	case circuit.OpX, circuit.OpY, circuit.OpZ:
+		s.applyPauli(g.Op(), int(q[0]))
+	case circuit.OpS:
+		s.apply1Q(int(q[0]), 1, 0, 0, complex(0, 1))
+	case circuit.OpSdg:
+		s.apply1Q(int(q[0]), 1, 0, 0, complex(0, -1))
+	case circuit.OpT:
+		s.apply1Q(int(q[0]), 1, 0, 0, cmplx.Exp(complex(0, math.Pi/4)))
+	case circuit.OpTdg:
+		s.apply1Q(int(q[0]), 1, 0, 0, cmplx.Exp(complex(0, -math.Pi/4)))
+	case circuit.OpRX:
 		c := complex(math.Cos(g.Param/2), 0)
 		ims := complex(0, -math.Sin(g.Param/2))
-		s.apply1Q(g.Qubits[0], c, ims, ims, c)
-	case "ry":
+		s.apply1Q(int(q[0]), c, ims, ims, c)
+	case circuit.OpRY:
 		c := complex(math.Cos(g.Param/2), 0)
 		sn := complex(math.Sin(g.Param/2), 0)
-		s.apply1Q(g.Qubits[0], c, -sn, sn, c)
-	case "rz":
-		s.apply1Q(g.Qubits[0],
+		s.apply1Q(int(q[0]), c, -sn, sn, c)
+	case circuit.OpRZ:
+		s.apply1Q(int(q[0]),
 			cmplx.Exp(complex(0, -g.Param/2)), 0,
 			0, cmplx.Exp(complex(0, g.Param/2)))
-	case "cx":
-		s.applyCX(g.Qubits[0], g.Qubits[1])
-	case "cz":
-		s.applyCZ(g.Qubits[0], g.Qubits[1])
-	case "swap":
-		s.applySWAP(g.Qubits[0], g.Qubits[1])
-	case "ccx":
-		s.applyCCX(g.Qubits[0], g.Qubits[1], g.Qubits[2])
+	case circuit.OpCX:
+		s.applyCX(int(q[0]), int(q[1]))
+	case circuit.OpCZ:
+		s.applyCZ(int(q[0]), int(q[1]))
+	case circuit.OpSWAP:
+		s.applySWAP(int(q[0]), int(q[1]))
+	case circuit.OpCCX:
+		s.applyCCX(int(q[0]), int(q[1]), int(q[2]))
 	default:
-		panic(fmt.Sprintf("qsim: unsupported gate %q", g.Name))
+		panic(fmt.Sprintf("qsim: unsupported gate %v", g.Op()))
+	}
+}
+
+// applyPauli applies the X, Y or Z gate op to qubit q.
+func (s *State) applyPauli(op circuit.Op, q int) {
+	switch op {
+	case circuit.OpX:
+		s.apply1Q(q, 0, 1, 1, 0)
+	case circuit.OpY:
+		s.apply1Q(q, 0, complex(0, -1), complex(0, 1), 0)
+	case circuit.OpZ:
+		s.apply1Q(q, 1, 0, 0, -1)
 	}
 }
 

@@ -302,5 +302,5 @@ func TestUnknownGatePanics(t *testing.T) {
 			t.Error("unknown gate should panic")
 		}
 	}()
-	s.Apply(circuit.Gate{Name: "frobnicate", Qubits: []int{0}})
+	s.Apply(circuit.Gate{}) // the zero Gate has no opcode
 }
