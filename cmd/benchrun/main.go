@@ -1,15 +1,14 @@
 // Command benchrun compiles the paper's benchmark suite onto MCM and
-// monolithic architectures and reports compiled gate counts (Table II)
-// and application fidelity ratios (Fig. 10).
+// monolithic architectures and reports application fidelity ratios
+// (Fig. 10).
 //
-// The full-catalog modes (-table2, -all) run the registered "table2"
-// and "fig10" experiments from the experiment registry; the
-// single-system and -square modes drive the ctx-first eval API with
-// custom grid selections.
+// The full-catalog mode (-all) runs the registered "fig10" experiment
+// from the experiment registry; the single-system and -square modes
+// drive the ctx-first eval API with custom grid selections. Table II is
+// the registered "table2" experiment: `campaign -experiments table2`.
 //
 // Usage examples:
 //
-//	benchrun -table2                       # Table II gate counts (registry artifact)
 //	benchrun -chiplet 40 -rows 2 -cols 2   # Fig. 10 for one system
 //	benchrun -all -max 300                 # Fig. 10 over enumerated systems (registry artifact)
 //	benchrun -all -workers 8               # pin the worker-pool size
@@ -49,7 +48,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	fs := cli.NewFlagSet("benchrun", errw)
 	rf := cli.Bind(fs, cli.Scenario|cli.TrialPolicy)
 	var (
-		table2    = fs.Bool("table2", false, "print Table II compiled benchmark details (registry artifact)")
 		all       = fs.Bool("all", false, "evaluate Fig. 10 over all enumerated systems (registry artifact)")
 		square    = fs.Bool("square", false, "restrict -all to square systems (Fig. 10b)")
 		chiplet   = fs.Int("chiplet", 20, "chiplet size for single-system evaluation")
@@ -126,9 +124,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		return runPerf(ctx, scn, *batch, rf.Workers(), rf.Seed(), *perfOut, out)
 	}
 
-	if *table2 {
-		return experiment.RunAndRender(ctx, "table2", cfg, out, *csv)
-	}
 	if *all && !*square {
 		return experiment.RunAndRender(ctx, "fig10", cfg, out, *csv)
 	}

@@ -160,21 +160,6 @@ func TestRunHelpIsNotAnError(t *testing.T) {
 	}
 }
 
-// TestRunTable2ThroughRegistry: the -table2 mode renders the registered
-// experiment's artifact.
-func TestRunTable2ThroughRegistry(t *testing.T) {
-	var out, errs strings.Builder
-	if err := run(context.Background(), []string{"-table2"}, &out, &errs); err != nil {
-		t.Fatalf("run -table2: %v", err)
-	}
-	got := out.String()
-	for _, want := range []string{"# experiment: table2", "Table II", "2q_critical"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing %q in artifact output:\n%s", want, got)
-		}
-	}
-}
-
 // TestRunRejectsNegativeBatch: -batch 0 means the scenario's policy;
 // a negative batch is a usage error, not a silent 0.
 func TestRunRejectsNegativeBatch(t *testing.T) {

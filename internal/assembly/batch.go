@@ -67,13 +67,14 @@ func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfi
 	edges := chip.G.Edges()
 
 	// Dies fabricate concurrently, each on its own (Seed, index)-derived
-	// RNG stream; nil marks the collision failures KGD testing discards.
-	// Workers reuse one RNG and frequency buffer across trials, so a
-	// discarded die costs zero allocations and stops drawing at its first
-	// collision; only KGD survivors allocate their retained frequency
-	// and error vectors.
+	// RNG stream; nil marks the collision failures KGD testing discards,
+	// and survivors join the bin in die order. Workers reuse one RNG and
+	// frequency buffer across trials, so a discarded die costs zero
+	// allocations and stops drawing at its first collision; only KGD
+	// survivors allocate their retained frequency and error vectors.
 	mu := cfg.Fab.Targets(dev)
-	dies, err := runner.MapLocal(ctx, size, cfg.Workers, runner.NewScratch(chip.N),
+	b := &Batch{Spec: spec, Chip: chip, Size: size}
+	_, err := runner.StreamPlanned(ctx, size, cfg.Workers, nil, runner.NewScratch(chip.N), nil,
 		func(l runner.Scratch, i int) *Chiplet {
 			r := l.RNG.At(cfg.Seed, i)
 			if !checker.SampleFree(r, mu, cfg.Fab.Sigma, l.Buf) {
@@ -91,16 +92,15 @@ func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfi
 				avg = sum / float64(len(edges))
 			}
 			return &Chiplet{ID: i, Freq: f, EdgeErr: errs, AvgErr: avg}
-		})
+		},
+		func(_ int, c *Chiplet) {
+			if c != nil {
+				b.Free = append(b.Free, c)
+			}
+		},
+		func(int) bool { return false })
 	if err != nil {
 		return nil, err
-	}
-
-	b := &Batch{Spec: spec, Chip: chip, Size: size}
-	for _, c := range dies {
-		if c != nil {
-			b.Free = append(b.Free, c)
-		}
 	}
 	// Free is in ascending ID order, so ordering ties by ID is the
 	// stable sort by AvgErr, without reflection.

@@ -126,7 +126,7 @@ func Run(ctx context.Context, p Plan, opts Options) (Report, error) {
 	cells := opts.Shard.Filter(grid)
 	outer, inner := splitBudget(&opts, cells)
 
-	results, err := runner.MapErr(ctx, len(cells), outer, func(i int) (CellResult, error) {
+	results, err := runner.Map(ctx, len(cells), outer, func(i int) (CellResult, error) {
 		return runCell(ctx, cells[i], &opts, inner)
 	})
 	if err != nil {
@@ -173,17 +173,7 @@ func splitBudget(opts *Options, cells []Cell) (outer, inner int) {
 		}
 	}
 	outer = runner.Workers(opts.Workers, len(cells))
-	executing := misses
-	if executing < 1 {
-		executing = 1
-	}
-	if executing > outer {
-		executing = outer
-	}
-	inner = runner.Workers(opts.Workers, -1) / executing
-	if inner < 1 {
-		inner = 1
-	}
+	_, inner = runner.Split(opts.Workers, max(misses, 1))
 	return outer, inner
 }
 

@@ -241,7 +241,7 @@ func (c *Config) yieldConfig(batch int, seed int64) yield.Config {
 // monoPopulation fabricates a monolithic batch and returns the
 // collision-free devices' per-device mean two-qubit infidelity (E_avg)
 // samples, plus the collision-free yield. Trials run concurrently, each
-// on its own (seed, index)-derived RNG stream, and samples are collected
+// on its own (seed, index)-derived RNG stream, and samples are observed
 // in trial order, so the population is identical at any worker count.
 func (c *Config) monoPopulation(ctx context.Context, spec topo.ChipSpec, batch int, seedOffset int64) (eavgs []float64, yld float64, err error) {
 	scn := c.scn()
@@ -251,8 +251,8 @@ func (c *Config) monoPopulation(ctx context.Context, spec topo.ChipSpec, batch i
 	edges := dev.G.Edges()
 	campaign := c.Seed + seedOffset
 	mu := scn.Fab.Targets(dev)
-	samples, err := runner.MapLocal(ctx, batch, c.Workers,
-		runner.NewScratch(dev.N),
+	_, err = runner.StreamPlanned(ctx, batch, c.Workers, nil,
+		runner.NewScratch(dev.N), nil,
 		func(l runner.Scratch, i int) float64 {
 			r := l.RNG.At(campaign, i)
 			f := l.Buf
@@ -268,14 +268,15 @@ func (c *Config) monoPopulation(ctx context.Context, spec topo.ChipSpec, batch i
 				return 0
 			}
 			return sum / float64(len(edges))
-		})
+		},
+		func(_ int, s float64) {
+			if !math.IsNaN(s) {
+				eavgs = append(eavgs, s)
+			}
+		},
+		func(int) bool { return false })
 	if err != nil {
 		return nil, 0, err
-	}
-	for _, s := range samples {
-		if !math.IsNaN(s) {
-			eavgs = append(eavgs, s)
-		}
 	}
 	if batch > 0 {
 		yld = float64(len(eavgs)) / float64(batch)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"chipletqc/internal/compiler"
@@ -12,6 +13,8 @@ import (
 	"chipletqc/internal/mcm"
 	"chipletqc/internal/noise"
 	"chipletqc/internal/qbench"
+	"chipletqc/internal/sampling"
+	"chipletqc/internal/scenario"
 	"chipletqc/internal/topo"
 )
 
@@ -225,6 +228,18 @@ func TestFig8SmallScale(t *testing.T) {
 	}
 	if maxImp < 2 {
 		t.Errorf("max yield improvement = %v, expected > 2x", maxImp)
+	}
+}
+
+// TestFig8ReturnsSimulateErrors: a monolithic yield simulation that
+// fails must fail Fig. 8, not leave zero-yield points behind.
+func TestFig8ReturnsSimulateErrors(t *testing.T) {
+	cfg := QuickConfigFor(scenario.Paper(), 1)
+	cfg.MaxQubits = 60
+	cfg.Sampling = sampling.Spec{Method: "bogus"}
+	res, err := Fig8(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "unknown method") {
+		t.Fatalf("Fig8 err = %v (%d points), want the sampling error", err, len(res.Points))
 	}
 }
 

@@ -64,12 +64,13 @@ func Fig8(ctx context.Context, cfg Config) (Fig8Result, error) {
 	fabCfg := cfg
 	fabCfg.Workers = fabInner
 	var fabDone atomic.Int64
-	batchList, err := runner.Map(ctx, len(catalog), fabOuter, func(i int) *assembly.Batch {
-		// A nested cancellation surfaces through the outer Map's own
-		// context check, so the per-batch error can be dropped here.
-		b, _ := assembly.Fabricate(ctx, catalog[i].Spec, cfg.ChipletBatch, fabCfg.batchConfig(seedOffFig8Fabricate+int64(i)))
+	batchList, err := runner.Map(ctx, len(catalog), fabOuter, func(i int) (*assembly.Batch, error) {
+		b, err := assembly.Fabricate(ctx, catalog[i].Spec, cfg.ChipletBatch, fabCfg.batchConfig(seedOffFig8Fabricate+int64(i)))
+		if err != nil {
+			return nil, err
+		}
 		cfg.progress("fig8/fabricate", int(fabDone.Add(1)), len(catalog))
-		return b
+		return b, nil
 	})
 	if err != nil {
 		return Fig8Result{}, err
@@ -90,13 +91,16 @@ func Fig8(ctx context.Context, cfg Config) (Fig8Result, error) {
 	}
 	monoOuter, monoInner := runner.Split(cfg.Workers, len(monoQubits))
 	var monoDone atomic.Int64
-	monoList, err := runner.Map(ctx, len(monoQubits), monoOuter, func(i int) yield.Result {
+	monoList, err := runner.Map(ctx, len(monoQubits), monoOuter, func(i int) (yield.Result, error) {
 		q := monoQubits[i]
 		ycfg := cfg.yieldConfig(cfg.MonoBatch, cfg.Seed+seedOffFig8Mono+int64(q))
 		ycfg.Workers = monoInner
-		res, _ := yield.Simulate(ctx, topo.MonolithicDevice(topo.MonolithicSpec(q)), ycfg)
+		res, err := yield.Simulate(ctx, topo.MonolithicDevice(topo.MonolithicSpec(q)), ycfg)
+		if err != nil {
+			return yield.Result{}, err
+		}
 		cfg.progress("fig8/mono", int(monoDone.Add(1)), len(monoQubits))
-		return res
+		return res, nil
 	})
 	if err != nil {
 		return Fig8Result{}, err
@@ -116,11 +120,14 @@ func Fig8(ctx context.Context, cfg Config) (Fig8Result, error) {
 
 	// Assembly is read-only on the shared batches, so grids fan out too.
 	var asmDone atomic.Int64
-	res.Points, err = runner.Map(ctx, len(grids), cfg.Workers, func(gi int) Fig8Point {
+	res.Points, err = runner.Map(ctx, len(grids), cfg.Workers, func(gi int) (Fig8Point, error) {
 		g := grids[gi]
 		b := batches[g.Spec.Qubits()]
 		acfg := cfg.assembleConfig(seedOffFig8Assemble + int64(gi))
-		_, st, _ := assembly.Assemble(ctx, b, g, acfg)
+		_, st, err := assembly.Assemble(ctx, b, g, acfg)
+		if err != nil {
+			return Fig8Point{}, err
+		}
 		// 100x bump-bond failure sensitivity (the paper's dashed line).
 		y100 := st.AssemblyYield * assembly.BondSurvival(st.LinkedQubits, 100)
 		mono := monoYield[g.Qubits()]
@@ -135,7 +142,7 @@ func Fig8(ctx context.Context, cfg Config) (Fig8Result, error) {
 			MonoTrials:   mono.Batch,
 			MonoCILo:     mono.CILo,
 			MonoCIHi:     mono.CIHi,
-		}
+		}, nil
 	})
 	if err != nil {
 		return Fig8Result{}, err

@@ -81,7 +81,7 @@ func fig9Ratios(ctx context.Context, cfg Config, ratios []string) (map[string][]
 	icfg := cfg
 	icfg.Workers = inner
 	var gridsDone atomic.Int64
-	perGrid, err := runner.Map(ctx, len(grids), outer, func(gi int) []Fig9Cell {
+	perGrid, err := runner.Map(ctx, len(grids), outer, func(gi int) ([]Fig9Cell, error) {
 		g := grids[gi]
 		cfg := icfg
 		// Wafer-area scaling: a qm-qubit monolithic die's area hosts
@@ -90,17 +90,17 @@ func fig9Ratios(ctx context.Context, cfg Config, ratios []string) (map[string][]
 		scaled := cfg.ChipletBatch * g.Chips()
 		b, err := assembly.Fabricate(ctx, g.Spec, scaled, cfg.batchConfig(seedOffFig9Fabricate+int64(gi)))
 		if err != nil {
-			return nil // cancellation: surfaced by the outer Map
+			return nil, err
 		}
 		acfg := cfg.assembleConfig(seedOffFig9Assemble + int64(gi))
 		mods, _, err := assembly.Assemble(ctx, b, g, acfg)
 		if err != nil {
-			return nil
+			return nil, err
 		}
 
 		monoEavgs, _, err := cfg.monoPopulation(ctx, g.MonolithicCounterpart(), cfg.MonoBatch, seedOffFig9Mono+int64(gi))
 		if err != nil {
-			return nil
+			return nil, err
 		}
 		monoMean := meanOrNaN(monoEavgs)
 
@@ -136,7 +136,7 @@ func fig9Ratios(ctx context.Context, cfg Config, ratios []string) (map[string][]
 			cells = append(cells, cell)
 		}
 		cfg.progress("fig9", int(gridsDone.Add(1)), len(grids))
-		return cells
+		return cells, nil
 	})
 	if err != nil {
 		return nil, err
@@ -187,7 +187,7 @@ func Fig10(ctx context.Context, cfg Config, grids []mcm.Grid, samples int) ([]Fi
 	icfg := cfg
 	icfg.Workers = inner
 	var gridsDone atomic.Int64
-	perGrid, err := runner.MapErr(ctx, len(grids), outer, func(gi int) ([]Fig10Point, error) {
+	perGrid, err := runner.Map(ctx, len(grids), outer, func(gi int) ([]Fig10Point, error) {
 		g := grids[gi]
 		pts, err := fig10System(ctx, icfg, g, gi, samples, det)
 		if err == nil {
@@ -263,11 +263,11 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 	}
 
 	// The benchmarks fan out over the workers: each compiles through
-	// the read-only Compilers and tables above, and MapErr returns the
+	// the read-only Compilers and tables above, and Map returns the
 	// points in suite order with the lowest-index error.
 	width := qbench.UtilizedQubits(g.Qubits())
 	suite := qbench.Suite()
-	return runner.MapErr(ctx, len(suite), cfg.Workers, func(i int) (Fig10Point, error) {
+	return runner.Map(ctx, len(suite), cfg.Workers, func(i int) (Fig10Point, error) {
 		bs := suite[i]
 		circ := bs.Generate(width, cfg.Seed+seedOffFig10Circuits)
 		mcmRes, err := mcmComp.Compile(circ)
@@ -314,10 +314,11 @@ func meanLog(x *edgeIndex, r *compiler.Result, tables [][]float64) float64 {
 // instances are found (or the batch budget is exhausted) and returns
 // their full per-coupling error assignments.
 //
-// Trials run in worker-sized chunks, each on its own (seed, index)-
-// derived RNG stream; selection keeps the first `want` collision-free
-// trial indices, so the instances are identical at any worker count
-// while the scan still stops early once enough survivors are found.
+// Trials stream in worker-sized blocks on a linear checkpoint grid, each
+// on its own (seed, index)-derived RNG stream; selection keeps the first
+// `want` collision-free trial indices, so the instances are identical at
+// any worker count while the scan still stops early once enough
+// survivors are found.
 func monoInstances(ctx context.Context, cfg Config, dev *topo.Device, want int, seedOffset int64, det *noise.DetuningModel) ([]noise.Assignment, error) {
 	if want <= 0 || cfg.MonoBatch <= 0 {
 		return nil, ctx.Err()
@@ -326,36 +327,32 @@ func monoInstances(ctx context.Context, cfg Config, dev *topo.Device, want int, 
 	checker := collision.NewChecker(dev, scn.Params)
 	link := scn.Link
 	campaign := cfg.Seed + seedOffset
-	chunk := runner.Workers(cfg.Workers, cfg.MonoBatch) * 32
 	mu := scn.Fab.Targets(dev)
+	chunk := runner.Workers(cfg.Workers, cfg.MonoBatch) * 32
+	var checkpoints []int
+	for cp := chunk; cp < cfg.MonoBatch; cp += chunk {
+		checkpoints = append(checkpoints, cp)
+	}
 
 	var out []noise.Assignment
-	for lo := 0; lo < cfg.MonoBatch && len(out) < want; lo += chunk {
-		hi := lo + chunk
-		if hi > cfg.MonoBatch {
-			hi = cfg.MonoBatch
-		}
-		found, err := runner.MapLocal(ctx, hi-lo, cfg.Workers,
-			runner.NewScratch(dev.N),
-			func(l runner.Scratch, j int) *noise.Assignment {
-				r := l.RNG.At(campaign, lo+j)
-				if !checker.SampleFree(r, mu, scn.Fab.Sigma, l.Buf) {
-					return nil
-				}
-				a := noise.Assign(r.Rand(), dev, l.Buf, det, link)
-				return &a
-			})
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range found {
-			if a != nil {
-				out = append(out, *a)
-				if len(out) == want {
-					break
-				}
+	_, err := runner.StreamPlanned(ctx, cfg.MonoBatch, cfg.Workers, checkpoints,
+		runner.NewScratch(dev.N), nil,
+		func(l runner.Scratch, i int) *noise.Assignment {
+			r := l.RNG.At(campaign, i)
+			if !checker.SampleFree(r, mu, scn.Fab.Sigma, l.Buf) {
+				return nil
 			}
-		}
+			a := noise.Assign(r.Rand(), dev, l.Buf, det, link)
+			return &a
+		},
+		func(_ int, a *noise.Assignment) {
+			if a != nil && len(out) < want {
+				out = append(out, *a)
+			}
+		},
+		func(int) bool { return len(out) == want })
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -61,8 +61,8 @@ func TestFig9WorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestFig10WorkerCountInvariance covers the MapErr fan-outs and the
-// chunked monoInstances scan. The one-grid case hands fig10System the
+// TestFig10WorkerCountInvariance covers the Map fan-outs and the
+// checkpointed monoInstances scan. The one-grid case hands fig10System the
 // whole worker budget, so its benchmark fan-out runs in parallel.
 func TestFig10WorkerCountInvariance(t *testing.T) {
 	spec, err := topo.SpecForQubits(10)

@@ -36,7 +36,7 @@ import (
 // RunAndRender executes the named registry experiment under ctx and
 // renders its artifact to w as text (or CSV when csv is set) — the
 // shared core of the CLI figure modes (mcmsim -fig8/-fig9,
-// benchrun -table2/-all).
+// benchrun -all).
 func RunAndRender(ctx context.Context, name string, cfg eval.Config, w io.Writer, csv bool) error {
 	e, ok := Lookup(name)
 	if !ok {

@@ -10,12 +10,22 @@
 // are collected into index-ordered slices so downstream aggregation is
 // order-stable too.
 //
-// Every campaign entry point is context-first: workers poll a shared
-// cancellation flag before claiming each trial index, so a cancelled
-// context stops a campaign within one in-flight trial per worker, and
-// every worker goroutine exits before the call returns (no leaks). A
-// cancelled campaign returns ctx.Err() and discards partial results;
-// a completed campaign's results are unaffected by the context.
+// The engine has two fan-outs over one claim loop, where workers claim
+// indices from a shared atomic counter:
+//
+//   - Map runs coarse fallible units (a chiplet batch, a grid, a
+//     campaign cell) and returns their results in index order, or the
+//     lowest-index error.
+//   - StreamPlanned runs Monte Carlo trials with per-worker scratch,
+//     feeds each result to observe in index order, and asks stop at
+//     fixed checkpoints whether the campaign can end early.
+//
+// Both are context-first: workers check for cancellation before
+// claiming each index, so a cancelled context stops a campaign within
+// one in-flight trial per worker, and every worker goroutine exits
+// before the call returns (no leaks). A cancelled campaign returns
+// ctx.Err() and discards partial results; a completed campaign's
+// results are unaffected by the context.
 //
 // Worker counts <= 0 resolve to GOMAXPROCS, so the zero value of any
 // Workers knob means "use the whole machine".
@@ -141,116 +151,76 @@ func watchCancel(ctx context.Context) (cancelled func() bool, stop func()) {
 	return flag.Load, func() { once.Do(func() { close(quit) }) }
 }
 
-// Map runs fn over [0, n) across the given number of workers and
-// returns the results in index order. Indices are claimed from a shared
-// atomic counter so uneven per-trial cost load-balances automatically.
-// A cancelled context stops the campaign within one in-flight trial per
-// worker and returns ctx.Err().
-func Map[T any](ctx context.Context, n, workers int, fn func(i int) T) ([]T, error) {
-	return MapLocal(ctx, n, workers, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) T { return fn(i) })
-}
-
-// MapLocal is Map with per-worker local state: newLocal runs once per
-// worker and its value (typically a scratch buffer) is passed to every
-// fn call that worker executes. fn must derive its result from i alone —
-// the local is scratch, not input — to preserve the determinism
-// contract.
-func MapLocal[L, T any](ctx context.Context, n, workers int, newLocal func() L, fn func(l L, i int) T) ([]T, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]T, n)
+// Map runs fn over the units [0, n) across the given number of workers
+// and returns the results in index order. Indices are claimed from a
+// shared atomic counter, so uneven per-unit cost load-balances. Once the
+// context is done or any unit fails, workers stop claiming new indices:
+// the claim check reads the context itself, so no unit starts after a
+// cancellation is visible. The error of the lowest failing index wins,
+// so the outcome is deterministic regardless of scheduling; a cancelled
+// campaign returns ctx.Err() and discards partial results.
+func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
-		return out, nil
+		return []T{}, ctx.Err()
 	}
-	cancelled, stopWatch := watchCancel(ctx)
-	defer stopWatch()
-	workers = Workers(workers, n)
-	if workers == 1 {
-		l := newLocal()
-		for i := 0; i < n; i++ {
-			if cancelled() {
-				return nil, ctx.Err()
-			}
-			out[i] = fn(l, i)
-		}
-		// ctx.Err() directly, not the flag: the watcher sets the flag
-		// asynchronously, so a cancellation observed by a nested call
-		// (whose dropped error left a zero result in out) could race
-		// the flag and leak a nil-error partial result to the caller.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l := newLocal()
-			for !cancelled() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(l, i)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MapErr is Map for fallible trials with cooperative cancellation: once
-// the context is done or any trial fails, workers stop claiming new
-// indices. The error of the lowest failing index wins, so the outcome is
-// deterministic regardless of scheduling; on success the full
-// index-ordered result slice is returned.
-func MapErr[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	if n <= 0 {
-		return out, ctx.Err()
-	}
-	errs := make([]error, n)
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	workers = Workers(workers, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for cctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				v, err := fn(i)
-				if err != nil {
-					errs[i] = err
-					cancel()
-					return
-				}
-				out[i] = v
-			}
-		}()
+	type result struct {
+		v   T
+		err error
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	res := make([]result, n)
+	runBlock(make([]struct{}, Workers(workers, n)), 0, n, res,
+		func(_ struct{}, i int) result {
+			v, err := fn(i)
+			if err != nil {
+				cancel()
+			}
+			return result{v, err}
+		},
+		func() bool { return cctx.Err() != nil })
+	out := make([]T, n)
+	for i, r := range res {
+		if r.err != nil {
+			return nil, r.err
 		}
+		out[i] = r.v
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// runBlock is the claim loop behind both fan-outs: it evaluates trials
+// [lo, hi) across the locals' workers, writing trial i's result to
+// out[i-lo]. Indices are claimed from a shared atomic counter so uneven
+// per-trial cost load-balances; workers poll stopped before each claim.
+func runBlock[L, T any](locals []L, lo, hi int, out []T, trial func(l L, i int) T, stopped func() bool) {
+	n := hi - lo
+	if len(locals) == 1 || n == 1 {
+		for j := 0; j < n; j++ {
+			if stopped() {
+				return
+			}
+			out[j] = trial(locals[0], lo+j)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < len(locals); w++ {
+		wg.Add(1)
+		go func(l L) {
+			defer wg.Done()
+			for !stopped() {
+				j := int(next.Add(1)) - 1
+				if j >= n {
+					return
+				}
+				out[j] = trial(l, lo+j)
+			}
+		}(locals[w])
+	}
+	wg.Wait()
 }

@@ -54,9 +54,12 @@ func TestSeedDecorrelatesAdjacentIndices(t *testing.T) {
 
 func TestMapOrderedAndComplete(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
-		got, err := Map(bg, 100, workers, func(i int) int { return i * i })
+		got, err := Map(bg, 100, workers, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(got) != 100 {
+			t.Fatalf("workers=%d: %d results, want 100", workers, len(got))
 		}
 		for i, v := range got {
 			if v != i*i {
@@ -64,24 +67,32 @@ func TestMapOrderedAndComplete(t *testing.T) {
 			}
 		}
 	}
-	if out, err := Map(bg, 0, 4, func(i int) int { return i }); err != nil || len(out) != 0 {
+	if out, err := Map(bg, 0, 4, func(i int) (int, error) { return i, nil }); err != nil || len(out) != 0 {
 		t.Errorf("empty campaign returned %d results, err %v", len(out), err)
 	}
 }
 
+// collect runs trial over [0, n) through StreamPlanned in one block and
+// returns the observations in the order observe received them.
+func collect[L, T any](ctx context.Context, n, workers int, newLocal func() L, trial func(L, int) T) ([]T, error) {
+	var out []T
+	_, err := StreamPlanned(ctx, n, workers, nil, newLocal, nil, trial,
+		func(_ int, v T) { out = append(out, v) }, func(int) bool { return false })
+	return out, err
+}
+
 // TestMapWorkerCountInvariance is the core determinism contract: trials
-// drawing from their (seed, index) streams produce identical results at
-// any worker count.
+// drawing from their (seed, index) streams into per-worker scratch
+// produce identical results at any worker count.
 func TestMapWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) []float64 {
-		out, err := MapLocal(bg, 500, workers,
-			func() []float64 { return make([]float64, 8) },
-			func(buf []float64, i int) float64 {
-				r := Rand(99, i)
+		out, err := collect(bg, 500, workers, NewScratch(8),
+			func(l Scratch, i int) float64 {
+				r := l.RNG.At(99, i)
 				var sum float64
-				for j := range buf {
-					buf[j] = r.NormFloat64()
-					sum += buf[j]
+				for j := range l.Buf {
+					l.Buf[j] = r.NormFloat64()
+					sum += l.Buf[j]
 				}
 				return sum
 			})
@@ -91,6 +102,9 @@ func TestMapWorkerCountInvariance(t *testing.T) {
 		return out
 	}
 	serial := run(1)
+	if len(serial) != 500 {
+		t.Fatalf("serial run observed %d trials, want 500", len(serial))
+	}
 	for _, workers := range []int{2, 5, 16} {
 		if got := run(workers); !reflect.DeepEqual(serial, got) {
 			t.Fatalf("workers=%d diverged from serial", workers)
@@ -98,9 +112,9 @@ func TestMapWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestMapLocalAllocatesPerWorker(t *testing.T) {
+func TestStreamLocalAllocatesPerWorker(t *testing.T) {
 	var allocs atomic.Int64
-	if _, err := MapLocal(bg, 50, 4, func() int { allocs.Add(1); return 0 },
+	if _, err := collect(bg, 50, 4, func() int { allocs.Add(1); return 0 },
 		func(int, int) int { return 0 }); err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +147,10 @@ func TestSplitKeepsTotalNearBudget(t *testing.T) {
 	}
 }
 
+// TestMapErrSuccess: a campaign of units that all succeed returns every
+// result in index order and a nil error.
 func TestMapErrSuccess(t *testing.T) {
-	out, err := MapErr(bg, 50, 4, func(i int) (int, error) {
+	out, err := Map(bg, 50, 4, func(i int) (int, error) {
 		return i + 1, nil
 	})
 	if err != nil {
@@ -150,7 +166,7 @@ func TestMapErrSuccess(t *testing.T) {
 func TestMapErrLowestIndexErrorWins(t *testing.T) {
 	sentinel := errors.New("trial 13 failed")
 	for _, workers := range []int{1, 8} {
-		_, err := MapErr(bg, 100, workers, func(i int) (int, error) {
+		_, err := Map(bg, 100, workers, func(i int) (int, error) {
 			if i >= 13 {
 				return 0, fmt.Errorf("trial %d failed", i)
 			}
@@ -165,7 +181,7 @@ func TestMapErrLowestIndexErrorWins(t *testing.T) {
 func TestMapErrContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	_, err := MapErr(ctx, 1_000_000, 2, func(i int) (int, error) {
+	_, err := Map(ctx, 1_000_000, 2, func(i int) (int, error) {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
@@ -179,49 +195,88 @@ func TestMapErrContextCancellation(t *testing.T) {
 	}
 }
 
+// TestMapStartsNoUnitAfterCancel: Map's claim check reads the context
+// itself, so a cancellation made inside a unit is visible before the
+// next claim. A unit started after it could fold the cancellation into
+// its own error, which would then win over context.Canceled.
+func TestMapStartsNoUnitAfterCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := Map(ctx, 2, 1, func(i int) (int, error) {
+		if i == 0 {
+			cancel()
+			return 0, nil
+		}
+		t.Errorf("unit %d started after the context was cancelled", i)
+		return 0, fmt.Errorf("unit %d: %v", i, ctx.Err())
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
 func noLocal() struct{} { return struct{}{} }
+
+// fanOut names one entry point run over [0, n) with a per-index trial.
+type fanOut struct {
+	name string
+	run  func(ctx context.Context, n, workers int, trial func(i int) int) error
+}
+
+// fanOuts covers both entry points: Map, and StreamPlanned on a
+// checkpoint grid.
+var fanOuts = []fanOut{
+	{"Map", func(ctx context.Context, n, workers int, trial func(int) int) error {
+		_, err := Map(ctx, n, workers, func(i int) (int, error) { return trial(i), nil })
+		return err
+	}},
+	{"StreamPlanned", func(ctx context.Context, n, workers int, trial func(int) int) error {
+		_, err := StreamPlanned(ctx, n, workers, Checkpoints(250, n), noLocal, nil,
+			func(_ struct{}, i int) int { return trial(i) }, func(int, int) {},
+			func(int) bool { return false })
+		return err
+	}},
+}
 
 // TestPreCancelledContextShortCircuits: a context cancelled before the
 // call must return ctx.Err() without running a single trial.
 func TestPreCancelledContextShortCircuits(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var ran atomic.Int64
-	trial := func(_ struct{}, i int) int { ran.Add(1); return i }
-
-	if _, err := MapLocal(ctx, 100, 4, noLocal, trial); !errors.Is(err, context.Canceled) {
-		t.Errorf("MapLocal err = %v, want context.Canceled", err)
-	}
-	if _, err := StreamPlanned(ctx, 100, 4, nil, noLocal, nil, trial, func(int, int) {},
-		func(int) bool { return false }); !errors.Is(err, context.Canceled) {
-		t.Errorf("StreamPlanned err = %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n != 0 {
-		t.Errorf("%d trials ran under a pre-cancelled context", n)
+	for _, f := range fanOuts {
+		var ran atomic.Int64
+		err := f.run(ctx, 100, 4, func(i int) int { ran.Add(1); return i })
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s err = %v, want context.Canceled", f.name, err)
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("%s: %d trials ran under a pre-cancelled context", f.name, n)
+		}
 	}
 }
 
 // TestMidRunCancellationStopsPromptly: cancelling mid-campaign must
 // return context.Canceled well before the trial budget is spent.
 func TestMidRunCancellationStopsPromptly(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var ran atomic.Int64
-		_, err := MapLocal(ctx, 1_000_000, workers, noLocal,
-			func(_ struct{}, i int) int {
+	for _, f := range fanOuts {
+		for _, workers := range []int{1, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var ran atomic.Int64
+			err := f.run(ctx, 1_000_000, workers, func(i int) int {
 				if ran.Add(1) == 100 {
 					cancel()
 				}
 				time.Sleep(10 * time.Microsecond)
 				return i
 			})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s workers=%d: err = %v, want context.Canceled", f.name, workers, err)
+			}
+			if n := ran.Load(); n >= 1_000_000 {
+				t.Errorf("%s workers=%d: cancellation did not stop the campaign early", f.name, workers)
+			}
+			cancel()
 		}
-		if n := ran.Load(); n >= 1_000_000 {
-			t.Errorf("workers=%d: cancellation did not stop the campaign early", workers)
-		}
-		cancel()
 	}
 }
 
@@ -268,20 +323,21 @@ func waitForGoroutineBaseline(t *testing.T, base int) {
 func TestCancellationLeaksNoGoroutines(t *testing.T) {
 	runtime.GC()
 	base := runtime.NumGoroutine()
-	for iter := 0; iter < 20; iter++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		var ran atomic.Int64
-		_, err := MapLocal(ctx, 100_000, 8, noLocal,
-			func(_ struct{}, i int) int {
+	for _, f := range fanOuts {
+		for iter := 0; iter < 20; iter++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			var ran atomic.Int64
+			err := f.run(ctx, 100_000, 8, func(i int) int {
 				if ran.Add(1) == 50 {
 					cancel()
 				}
 				return i
 			})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("iter %d: err = %v", iter, err)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s iter %d: err = %v", f.name, iter, err)
+			}
+			cancel()
 		}
-		cancel()
 	}
 	waitForGoroutineBaseline(t, base)
 }
@@ -294,9 +350,11 @@ func TestCompletedCampaignLeaksNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for iter := 0; iter < 50; iter++ {
-		if _, err := Map(ctx, 100, 8, func(i int) int { return i }); err != nil {
-			t.Fatal(err)
+	for _, f := range fanOuts {
+		for iter := 0; iter < 50; iter++ {
+			if err := f.run(ctx, 1000, 8, func(i int) int { return i }); err != nil {
+				t.Fatalf("%s: %v", f.name, err)
+			}
 		}
 	}
 	waitForGoroutineBaseline(t, base)

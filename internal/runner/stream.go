@@ -4,8 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 )
 
 // TrialRNG is a reusable per-worker trial RNG: At repositions it onto
@@ -113,8 +111,8 @@ type Scratch struct {
 	Buf []float64
 }
 
-// NewScratch returns a newLocal constructor for MapLocal and StreamPlanned
-// that equips each worker with a TrialRNG and an n-element buffer.
+// NewScratch returns a newLocal constructor for StreamPlanned that equips
+// each worker with a TrialRNG and an n-element buffer.
 func NewScratch(n int) func() Scratch {
 	return func() Scratch {
 		return Scratch{RNG: NewTrialRNG(), Buf: make([]float64, n)}
@@ -145,8 +143,9 @@ func Checkpoints(min, max int) []int {
 // after each checkpoint whether the campaign can end early. It returns
 // the number of trials executed.
 //
-// The determinism contract extends MapLocal's: trial i's result must
-// depend only on i (locals are scratch), blocks always run to their
+// The determinism contract extends Map's: newLocal runs once per
+// worker and its value (typically a Scratch) is scratch, not input, so
+// trial i's result must depend only on i; blocks always run to their
 // checkpoint before any stop decision, and observe sees results in
 // index order — so the executed trial count and every aggregate are
 // bit-identical at any worker count. Checkpoints are clamped to
@@ -216,37 +215,4 @@ func StreamPlanned[L, T any](ctx context.Context, max, workers int, checkpoints 
 	}
 	step(max)
 	return done, ctx.Err()
-}
-
-// runBlock evaluates trials [lo, hi) across the locals' workers,
-// writing trial i's result to out[i-lo]. Indices are claimed from a
-// shared atomic counter so uneven per-trial cost load-balances;
-// workers poll the cancellation flag before each claim.
-func runBlock[L, T any](locals []L, lo, hi int, out []T, trial func(l L, i int) T, cancelled func() bool) {
-	n := hi - lo
-	if len(locals) == 1 || n == 1 {
-		for j := 0; j < n; j++ {
-			if cancelled() {
-				return
-			}
-			out[j] = trial(locals[0], lo+j)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < len(locals); w++ {
-		wg.Add(1)
-		go func(l L) {
-			defer wg.Done()
-			for !cancelled() {
-				j := int(next.Add(1)) - 1
-				if j >= n {
-					return
-				}
-				out[j] = trial(l, lo+j)
-			}
-		}(locals[w])
-	}
-	wg.Wait()
 }

@@ -340,7 +340,7 @@ func MonolithicCurve(ctx context.Context, sizes []int, cfg Config) ([]Point, err
 	outer, inner := runner.Split(cfg.Workers, len(sizes))
 	icfg := cfg
 	icfg.Workers = inner
-	return runner.MapErr(ctx, len(sizes), outer, func(i int) (Point, error) {
+	return runner.Map(ctx, len(sizes), outer, func(i int) (Point, error) {
 		d := topo.MonolithicDevice(topo.MonolithicSpec(sizes[i]))
 		res, err := Simulate(ctx, d, icfg)
 		return Point{
@@ -389,7 +389,7 @@ func ChipletYields(ctx context.Context, cfg Config) ([]Result, error) {
 	outer, inner := runner.Split(cfg.Workers, len(catalog))
 	icfg := cfg
 	icfg.Workers = inner
-	return runner.MapErr(ctx, len(catalog), outer, func(i int) (Result, error) {
+	return runner.Map(ctx, len(catalog), outer, func(i int) (Result, error) {
 		cs := catalog[i]
 		d := topo.MonolithicDevice(cs.Spec)
 		d.Name = fmt.Sprintf("chiplet-%d", cs.Qubits)
@@ -412,7 +412,7 @@ type SweepCell struct {
 // error fails the sweep.
 func Sweep(ctx context.Context, steps, sigmas []float64, sizes []int, cfg Config) ([]SweepCell, error) {
 	outer, inner := runner.Split(cfg.Workers, len(steps)*len(sigmas))
-	return runner.MapErr(ctx, len(steps)*len(sigmas), outer, func(i int) (SweepCell, error) {
+	return runner.Map(ctx, len(steps)*len(sigmas), outer, func(i int) (SweepCell, error) {
 		c := cfg
 		c.Workers = inner
 		c.Model.Plan.Step = steps[i/len(sigmas)]
