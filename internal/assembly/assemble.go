@@ -2,6 +2,7 @@ package assembly
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 
 	"chipletqc/internal/collision"
@@ -101,98 +102,152 @@ type Stats struct {
 	PostAssemblyYield float64
 }
 
-// Assemble builds as many complete, collision-free MCMs as possible from
-// the batch's sorted bin, following the paper's procedure: take the
-// lowest-error chiplets first; if the stitched module shows an
+// Assembler stitches one batch's sorted bin into MCMs best-first, one
+// module per pull, following the paper's procedure (Section VII-B):
+// take the lowest-error chiplets first; if the stitched module shows an
 // inter-chiplet collision, shuffle placement up to MaxReshuffles times;
 // on timeout, set the best chiplet of the failed subset aside and
-// continue with the next subset. The context is checked between
-// candidate subsets; a cancelled ctx returns ctx.Err() and discards the
-// partial assembly.
-func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) ([]*AssembledMCM, Stats, error) {
+// continue with the next subset.
+//
+// One RNG, seeded by AssembleConfig.Seed, drives both the shuffles and
+// the link draws, and each module consumes it only after every module
+// before it. So the first k modules pulled are bit-identical to the
+// first k that a full drain (Assemble) returns, and a caller that keeps
+// only the best k stops paying for the rest of the bin.
+type Assembler struct {
+	grid      mcm.Grid
+	cfg       AssembleConfig
+	dev       *topo.Device
+	checker   *collision.Checker
+	r         *rand.Rand
+	linkEdges []graph.Edge
+	bin       []*Chiplet // candidates not yet placed or set aside, best first
+	freq      []float64  // composition buffer, one entry per global qubit
+	nPer      int        // qubits per chiplet
+}
+
+// NewAssembler prepares the assembly of batch b into modules of the
+// given grid. The grid must tile the batch's own chiplet design.
+func NewAssembler(b *Batch, grid mcm.Grid, cfg AssembleConfig) (*Assembler, error) {
+	if grid.Spec != b.Spec {
+		return nil, fmt.Errorf("assembly: grid %v tiles %dq chiplets %+v, but the batch holds %dq chiplets %+v",
+			grid, grid.Spec.Qubits(), grid.Spec, b.Spec.Qubits(), b.Spec)
+	}
 	dev, err := mcm.Build(grid)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
-	checker := collision.NewChecker(dev, cfg.Params)
-	chips := grid.Chips()
-	nPer := b.Chip.N
-	r := rand.New(rand.NewSource(cfg.Seed))
-
-	linkEdges := make([]graph.Edge, 0, len(dev.Link))
+	a := &Assembler{
+		grid:    grid,
+		cfg:     cfg,
+		dev:     dev,
+		checker: collision.NewChecker(dev, cfg.Params),
+		r:       rand.New(rand.NewSource(cfg.Seed)),
+		bin:     b.Free,
+		freq:    make([]float64, dev.N),
+		nPer:    b.Chip.N,
+	}
 	for _, e := range dev.G.Edges() {
 		if dev.Link[e] {
-			linkEdges = append(linkEdges, e)
+			a.linkEdges = append(a.linkEdges, e)
 		}
 	}
+	return a, nil
+}
 
-	bin := append([]*Chiplet(nil), b.Free...)
+// Take pulls up to k more modules, best first, or every remaining one
+// when k <= 0; it returns fewer once the bin cannot fill another
+// module. The context is checked between candidate subsets; a cancelled
+// ctx returns ctx.Err() and discards the modules of this call.
+func (a *Assembler) Take(ctx context.Context, k int) ([]*AssembledMCM, error) {
 	var out []*AssembledMCM
-	var leftover []*Chiplet
-	freq := make([]float64, dev.N)
-
-	compose := func(members []*Chiplet) {
-		for c, m := range members {
-			copy(freq[c*nPer:(c+1)*nPer], m.Freq)
+	for k <= 0 || len(out) < k {
+		m, err := a.next(ctx)
+		if err != nil {
+			return nil, err
 		}
+		if m == nil {
+			break
+		}
+		out = append(out, m)
 	}
+	return out, nil
+}
 
-	for len(bin) >= chips {
+// next assembles the next module, or returns nil once fewer free
+// chiplets remain than the grid has positions.
+func (a *Assembler) next(ctx context.Context) (*AssembledMCM, error) {
+	chips, nPer := a.grid.Chips(), a.nPer
+	for len(a.bin) >= chips {
 		if err := ctx.Err(); err != nil {
-			return nil, Stats{}, err
+			return nil, err
 		}
-		subset := append([]*Chiplet(nil), bin[:chips]...)
+		subset := append([]*Chiplet(nil), a.bin[:chips]...)
 		placed := false
-		for attempt := 0; attempt <= cfg.MaxReshuffles; attempt++ {
+		for attempt := 0; attempt <= a.cfg.MaxReshuffles; attempt++ {
 			if attempt > 0 {
-				r.Shuffle(len(subset), func(i, j int) {
+				a.r.Shuffle(len(subset), func(i, j int) {
 					subset[i], subset[j] = subset[j], subset[i]
 				})
 			}
-			compose(subset)
-			if checker.Free(freq) {
+			for c, m := range subset {
+				copy(a.freq[c*nPer:(c+1)*nPer], m.Freq)
+			}
+			if a.checker.Free(a.freq) {
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			// Timeout: release the subset, retire its best chiplet, and
-			// move on with the next candidates.
-			leftover = append(leftover, bin[0])
-			bin = bin[1:]
+			// Timeout: release the subset, set its best chiplet aside,
+			// and move on with the next candidates.
+			a.bin = a.bin[1:]
 			continue
 		}
 		m := &AssembledMCM{
-			Grid:       grid,
+			Grid:       a.grid,
 			Members:    subset,
-			Freq:       append([]float64(nil), freq...),
-			LinkErr:    make(map[graph.Edge]float64, len(linkEdges)),
-			nCouplings: dev.G.M(),
+			Freq:       append([]float64(nil), a.freq...),
+			LinkErr:    make(map[graph.Edge]float64, len(a.linkEdges)),
+			nCouplings: a.dev.G.M(),
 		}
 		for _, member := range subset {
 			for _, e := range member.EdgeErr {
 				m.chipErrSum += e
 			}
 		}
-		for _, e := range linkEdges {
-			m.LinkErr[e] = cfg.Link.Sample(r)
+		for _, e := range a.linkEdges {
+			m.LinkErr[e] = a.cfg.Link.Sample(a.r)
 		}
-		out = append(out, m)
-		bin = bin[chips:]
+		a.bin = a.bin[chips:]
+		return m, nil
 	}
-	leftover = append(leftover, bin...)
+	return nil, nil
+}
 
-	linked := len(dev.LinkedQubits())
+// Assemble builds as many complete, collision-free MCMs as possible from
+// the batch's sorted bin: it drains an Assembler and summarises the run.
+// A cancelled ctx returns ctx.Err() and discards the partial assembly.
+func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) ([]*AssembledMCM, Stats, error) {
+	a, err := NewAssembler(b, grid, cfg)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	out, err := a.Take(ctx, 0)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	linked := len(a.dev.LinkedQubits())
 	st := Stats{
 		Grid:         grid,
 		BatchSize:    b.Size,
 		FreeChiplets: len(b.Free),
 		MCMs:         len(out),
-		ChipsUsed:    len(out) * chips,
-		Leftover:     len(leftover),
+		ChipsUsed:    len(out) * grid.Chips(),
 		LinkedQubits: linked,
 		ChipletYield: b.Yield(),
 	}
+	st.Leftover = st.FreeChiplets - st.ChipsUsed
 	if b.Size > 0 {
 		st.AssemblyYield = float64(st.ChipsUsed) / float64(b.Size)
 	}

@@ -8,16 +8,20 @@
 // one chiplet design under a fab.Model, applies KGD testing (Table I
 // collision screening via internal/collision), and characterises each
 // surviving die's frequencies and gate errors — yielding a Batch whose
-// collision-free bin feeds assembly. Assemble then stitches batches
-// into k×m multi-chip modules: chiplets are error-sorted so the best
-// dies land first, candidate placements that create cross-chip
-// collisions are reshuffled up to the assembly policy's budget, and
-// every inter-chip link draws its infidelity from the scenario's link
-// model after a bump-bond survival roll.
+// collision-free bin feeds assembly. An Assembler then stitches the
+// bin into k×m multi-chip modules, one module per pull: chiplets are
+// error-sorted so the best dies land first, candidate placements that
+// create cross-chip collisions are reshuffled up to the assembly
+// policy's budget, and every inter-chip link draws its infidelity from
+// the scenario's link model. Assemble drains an Assembler and reports
+// the run's Stats, including the analytic bump-bond survival.
 //
-// Both stages are ctx-first and fan out on internal/runner's
-// deterministic worker pool: a trial's draws depend only on (seed,
-// trial index), so batches and assembled modules are bit-identical at
-// any worker count. AssembledMCM.ResampleLinks and EAvg re-draw and
-// summarise link errors without disturbing that contract.
+// Both stages are ctx-first and deterministic. Fabricate fans out on
+// internal/runner's worker pool, and a die's draws depend only on
+// (seed, die index), so a batch is bit-identical at any worker count.
+// Assembly is serial on one RNG that each module consumes after every
+// module before it, so a caller that pulls only the best k modules gets
+// exactly the first k of a full drain and never pays for the rest.
+// AssembledMCM.ResampleLinks and EAvg re-draw and summarise link errors
+// without disturbing that contract.
 package assembly

@@ -23,9 +23,17 @@ func testBatchConfig(seed int64) BatchConfig {
 	return BatchConfig{
 		Fab:    fab.DefaultModel(),
 		Params: collision.DefaultParams(),
-		Det:    noise.DefaultDetuningModel(seed),
+		Det:    testDetuningModel(seed),
 		Seed:   seed,
 	}
+}
+
+// testDetuningModel is the paper's detuning model: the Washington-class
+// calibration run at the deployed-device spread over 15 cycles, binned
+// at the Fig. 7 width.
+func testDetuningModel(seed int64) *noise.DetuningModel {
+	pts := noise.CalibrationRun(noise.WashingtonSpec(), noise.FreqSpreadFig7, 15, seed, noise.DefaultCalibConfig())
+	return noise.NewDetuningModel(pts, noise.BinWidthFig7)
 }
 
 // testAssembleConfig pins the paper's assembly policy (100 reshuffles,

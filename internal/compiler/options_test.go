@@ -12,6 +12,7 @@ import (
 	"chipletqc/internal/noise"
 	"chipletqc/internal/qbench"
 	"chipletqc/internal/qsim"
+	"chipletqc/internal/scenario"
 	"chipletqc/internal/topo"
 )
 
@@ -118,7 +119,7 @@ func TestErrorAwareRoutingImprovesFidelity(t *testing.T) {
 	dev := mcm.MustBuild(mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
 	r := rand.New(rand.NewSource(31))
 	f := fab.DefaultModel().Sample(r, dev)
-	a := noise.Assign(r, dev, f, noise.DefaultDetuningModel(32), noise.DefaultLinkModel())
+	a := noise.Assign(r, dev, f, scenario.Paper().DetuningModel(32), noise.DefaultLinkModel())
 
 	logF := func(res *Result) float64 {
 		var sum float64

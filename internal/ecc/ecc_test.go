@@ -9,6 +9,7 @@ import (
 	"chipletqc/internal/graph"
 	"chipletqc/internal/mcm"
 	"chipletqc/internal/noise"
+	"chipletqc/internal/scenario"
 	"chipletqc/internal/topo"
 )
 
@@ -165,7 +166,7 @@ func TestRealisticDeviceNeedsBetterGates(t *testing.T) {
 	dev := topo.MonolithicDevice(topo.ChipSpec{DenseRows: 4, Width: 12})
 	r := rand.New(rand.NewSource(3))
 	f := fab.DefaultModel().Sample(r, dev)
-	a := noise.Assign(r, dev, f, noise.DefaultDetuningModel(4), noise.DefaultLinkModel())
+	a := noise.Assign(r, dev, f, scenario.Paper().DetuningModel(4), noise.DefaultLinkModel())
 	rep := Analyze(dev, a, HeavyHexThreshold)
 	if rep.Qualifies() {
 		t.Error("state-of-art errors should not qualify for the heavy-hex code")

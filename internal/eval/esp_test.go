@@ -12,6 +12,7 @@ import (
 	"chipletqc/internal/mcm"
 	"chipletqc/internal/noise"
 	"chipletqc/internal/qbench"
+	"chipletqc/internal/scenario"
 	"chipletqc/internal/topo"
 )
 
@@ -36,7 +37,7 @@ func perGateLogFidelity(r *compiler.Result, a noise.Assignment) float64 {
 func TestTableLogFidelityMatchesPerGateFormula(t *testing.T) {
 	dev := mcm.MustBuild(mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
 	r := rand.New(rand.NewSource(50))
-	base := noise.Assign(r, dev, fab.DefaultModel().Sample(r, dev), noise.DefaultDetuningModel(51), noise.DefaultLinkModel())
+	base := noise.Assign(r, dev, fab.DefaultModel().Sample(r, dev), scenario.Paper().DetuningModel(51), noise.DefaultLinkModel())
 	devIdx := newEdgeIndex(dev.G.Edges())
 	comp := compiler.New(dev, compiler.Options{})
 	width := qbench.UtilizedQubits(dev.N)

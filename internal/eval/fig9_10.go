@@ -84,6 +84,14 @@ func fig9Ratios(ctx context.Context, cfg Config, ratios []string) (map[string][]
 	perGrid, err := runner.Map(ctx, len(grids), outer, func(gi int) ([]Fig9Cell, error) {
 		g := grids[gi]
 		cfg := icfg
+		// The monolithic population runs first: its seed is independent
+		// of the MCM side, and its size K sets how many modules to pull.
+		monoEavgs, _, err := cfg.monoPopulation(ctx, g.MonolithicCounterpart(), cfg.MonoBatch, seedOffFig9Mono+int64(gi))
+		if err != nil {
+			return nil, err
+		}
+		monoMean := meanOrNaN(monoEavgs)
+
 		// Wafer-area scaling: a qm-qubit monolithic die's area hosts
 		// qm/qc chiplets, so B monolithic dies correspond to B*chips
 		// chiplet dies for an MCM of `chips` chiplets.
@@ -92,24 +100,17 @@ func fig9Ratios(ctx context.Context, cfg Config, ratios []string) (map[string][]
 		if err != nil {
 			return nil, err
 		}
-		acfg := cfg.assembleConfig(seedOffFig9Assemble + int64(gi))
-		mods, _, err := assembly.Assemble(ctx, b, g, acfg)
-		if err != nil {
-			return nil, err
-		}
-
-		monoEavgs, _, err := cfg.monoPopulation(ctx, g.MonolithicCounterpart(), cfg.MonoBatch, seedOffFig9Mono+int64(gi))
-		if err != nil {
-			return nil, err
-		}
-		monoMean := meanOrNaN(monoEavgs)
-
 		// Equal-count population: the top-K MCMs (the bin is sorted, so
 		// assembly order is best-first) against the K monolithic
-		// survivors. With zero monolithic yield every MCM stands alone.
-		sel := mods
-		if k := len(monoEavgs); k > 0 && k < len(sel) {
-			sel = sel[:k]
+		// survivors. With zero monolithic yield (K = 0) every MCM the
+		// bin can form stands alone, so the assembly drains.
+		asm, err := assembly.NewAssembler(b, g, cfg.assembleConfig(seedOffFig9Assemble+int64(gi)))
+		if err != nil {
+			return nil, err
+		}
+		sel, err := asm.Take(ctx, len(monoEavgs))
+		if err != nil {
+			return nil, err
 		}
 
 		cells := make([]Fig9Cell, 0, len(ratios))
@@ -208,9 +209,9 @@ func Fig10(ctx context.Context, cfg Config, grids []mcm.Grid, samples int) ([]Fi
 // fig10System evaluates the benchmark suite on one MCM system against
 // its monolithic counterpart.
 func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, det *noise.DetuningModel) ([]Fig10Point, error) {
-	// MCM side: assemble instances from a wafer-area-scaled batch
-	// and keep the best `samples` (equal-count selection, matching
-	// the Fig. 9 comparison semantics).
+	// MCM side: pull the best `samples` modules from a wafer-area-scaled
+	// batch (equal-count selection, matching the Fig. 9 comparison
+	// semantics); the rest of the bin is never assembled.
 	scaled := cfg.ChipletBatch * g.Chips()
 	b, err := assembly.Fabricate(ctx, g.Spec, scaled, cfg.batchConfig(seedOffFig10Fabricate+int64(gi)))
 	if err != nil {
@@ -218,12 +219,13 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 	}
 	acfg := cfg.assembleConfig(seedOffFig10Assemble + int64(gi))
 	acfg.Link = cfg.linkModel()
-	mods, _, err := assembly.Assemble(ctx, b, g, acfg)
+	asm, err := assembly.NewAssembler(b, g, acfg)
 	if err != nil {
 		return nil, err
 	}
-	if len(mods) > samples {
-		mods = mods[:samples]
+	mods, err := asm.Take(ctx, samples)
+	if err != nil {
+		return nil, err
 	}
 	mcmDev := mcm.MustBuild(g)
 	chip := topo.BuildChip(g.Spec)

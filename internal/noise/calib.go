@@ -94,28 +94,35 @@ func gauss(x, mu, w float64) float64 {
 	return math.Exp(-0.5 * z * z)
 }
 
-// sizeScale returns the median multiplier for an n-qubit device.
-func (c CalibConfig) sizeScale(n int) float64 {
+// sizeTerms returns the device-size terms of the error model on an
+// n-qubit device: the healthy median and the lognormal sigma. The
+// median scales by (n/SizeRef)^SizeMedianExp and sigma by
+// (n/SizeRef)^SizeSigmaExp.
+func (c CalibConfig) sizeTerms(n int) (median, sigma float64) {
 	if n <= 0 || c.SizeRef <= 0 {
-		return 1
+		return c.BaseMedian, c.BaseSigma
 	}
-	return math.Pow(float64(n)/float64(c.SizeRef), c.SizeMedianExp)
+	x := float64(n) / float64(c.SizeRef)
+	return c.BaseMedian * math.Pow(x, c.SizeMedianExp), c.BaseSigma * math.Pow(x, c.SizeSigmaExp)
 }
 
-// sizeSigma returns the lognormal sigma for an n-qubit device.
-func (c CalibConfig) sizeSigma(n int) float64 {
-	if n <= 0 || c.SizeRef <= 0 {
-		return c.BaseSigma
-	}
-	return c.BaseSigma * math.Pow(float64(n)/float64(c.SizeRef), c.SizeSigmaExp)
+// edgeMu returns the lognormal location of a coupling's error: the log
+// of the device median amplified by the coupling's resonance penalty.
+func (c CalibConfig) edgeMu(median, detuning float64) float64 {
+	return math.Log(median * c.PenaltyFactor(detuning))
+}
+
+// draw samples one observation from the lognormal (mu, sigma), clamped
+// to [Floor, Ceil].
+func (c CalibConfig) draw(r *rand.Rand, mu, sigma float64) float64 {
+	return stats.Clamp(stats.LogNormal(r, mu, sigma), c.Floor, c.Ceil)
 }
 
 // SampleEdgeError draws one CX infidelity observation for a coupling with
 // the given detuning on an n-qubit device.
 func (c CalibConfig) SampleEdgeError(r *rand.Rand, detuning float64, n int) float64 {
-	median := c.BaseMedian * c.sizeScale(n) * c.PenaltyFactor(detuning)
-	e := stats.LogNormal(r, math.Log(median), c.sizeSigma(n))
-	return stats.Clamp(e, c.Floor, c.Ceil)
+	median, sigma := c.sizeTerms(n)
+	return c.draw(r, c.edgeMu(median, detuning), sigma)
 }
 
 // CalibPoint is one averaged calibration observation: a coupled pair's
@@ -141,11 +148,15 @@ func CalibrationRun(spec topo.ChipSpec, sigmaF float64, cycles int, seed int64, 
 	f := model.Sample(r, d)
 	edges := d.G.Edges()
 	out := make([]CalibPoint, 0, len(edges))
+	// Each coupling's distribution is fixed across the cycles, so its
+	// lognormal parameters are computed once, not once per observation.
+	median, sigma := cfg.sizeTerms(d.N)
 	for _, e := range edges {
 		det := math.Abs(f[e.U] - f[e.V])
+		mu := cfg.edgeMu(median, det)
 		var sum float64
 		for c := 0; c < cycles; c++ {
-			sum += cfg.SampleEdgeError(r, det, d.N)
+			sum += cfg.draw(r, mu, sigma)
 		}
 		out = append(out, CalibPoint{Detuning: det, Infidelity: sum / float64(cycles)})
 	}
@@ -162,13 +173,6 @@ func WashingtonSpec() topo.ChipSpec { return topo.MonolithicSpec(127) }
 // detuning bin width.
 const FreqSpreadFig7 = 0.1
 
-// DefaultCalibration generates the reference Fig. 7 dataset: a
-// Washington-class device at the deployed-device frequency spread,
-// 15 calibration cycles.
-func DefaultCalibration(seed int64) []CalibPoint {
-	return CalibrationRun(WashingtonSpec(), FreqSpreadFig7, 15, seed, DefaultCalibConfig())
-}
-
 // SizeSeries generates Fig. 3(b): pooled CX infidelity observations for
 // devices of different sizes over `cycles` calibration cycles, returning
 // a box-plot summary per size. Device frequency spread grows mildly with
@@ -181,12 +185,14 @@ func SizeSeries(sizes []int, cycles int, seed int64, cfg CalibConfig) []stats.Su
 		r := runner.Rand(seed, i)
 		sigma := FreqSpreadFig7 * (0.7 + 0.3*float64(n)/127.0)
 		model := fab.Model{Plan: topo.DefaultFreqPlan, Sigma: sigma}
-		var obs []float64
+		median, errSigma := cfg.sizeTerms(d.N)
+		edges := d.G.Edges()
+		obs := make([]float64, 0, cycles*len(edges))
 		for c := 0; c < cycles; c++ {
 			f := model.Sample(r, d)
-			for _, e := range d.G.Edges() {
+			for _, e := range edges {
 				det := math.Abs(f[e.U] - f[e.V])
-				obs = append(obs, cfg.SampleEdgeError(r, det, d.N))
+				obs = append(obs, cfg.draw(r, cfg.edgeMu(median, det), errSigma))
 			}
 		}
 		out = append(out, stats.Summarize(obs))

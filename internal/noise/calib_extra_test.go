@@ -6,7 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"chipletqc/internal/fab"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/stats"
+	"chipletqc/internal/topo"
 )
 
 // TestPenaltyPeaksAreLocalMaxima: each resonance point is a strict local
@@ -63,14 +66,69 @@ func TestSampleEdgeErrorSizeMonotone(t *testing.T) {
 
 // TestCalibrationRunDeterministic: same seed, same dataset.
 func TestCalibrationRunDeterministic(t *testing.T) {
-	a := DefaultCalibration(5)
-	b := DefaultCalibration(5)
+	a := testCalibration(5)
+	b := testCalibration(5)
 	if len(a) != len(b) {
 		t.Fatal("length mismatch")
 	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("non-deterministic calibration")
+		}
+	}
+}
+
+// TestCalibrationMatchesPerObservationSampling: CalibrationRun and
+// SizeSeries compute each coupling's lognormal parameters once per edge
+// and the size terms once per device, yet must draw bit for bit what a
+// per-observation SampleEdgeError loop draws from the same stream.
+func TestCalibrationMatchesPerObservationSampling(t *testing.T) {
+	noSize := DefaultCalibConfig()
+	noSize.SizeRef = 0
+	for _, cfg := range []CalibConfig{DefaultCalibConfig(), noSize} {
+		for _, spec := range []topo.ChipSpec{WashingtonSpec(), {DenseRows: 2, Width: 8}} {
+			for _, seed := range []int64{1, 7} {
+				const cycles = 15
+				got := CalibrationRun(spec, FreqSpreadFig7, cycles, seed, cfg)
+				d := topo.MonolithicDevice(spec)
+				r := runner.Rand(seed, 0)
+				f := fab.Model{Plan: topo.DefaultFreqPlan, Sigma: FreqSpreadFig7}.Sample(r, d)
+				edges := d.G.Edges()
+				if len(got) != len(edges) {
+					t.Fatalf("%+v seed %d: %d points, want %d", spec, seed, len(got), len(edges))
+				}
+				for i, e := range edges {
+					det := math.Abs(f[e.U] - f[e.V])
+					var sum float64
+					for c := 0; c < cycles; c++ {
+						sum += cfg.SampleEdgeError(r, det, d.N)
+					}
+					want := CalibPoint{Detuning: det, Infidelity: sum / cycles}
+					if math.Float64bits(got[i].Detuning) != math.Float64bits(want.Detuning) ||
+						math.Float64bits(got[i].Infidelity) != math.Float64bits(want.Infidelity) {
+						t.Fatalf("%+v seed %d edge %v: got %+v, want %+v", spec, seed, e, got[i], want)
+					}
+				}
+			}
+		}
+
+		sizes := []int{27, 65}
+		const seed, cycles = 3, 4
+		got := SizeSeries(sizes, cycles, seed, cfg)
+		for i, n := range sizes {
+			d := topo.MonolithicDevice(topo.MonolithicSpec(n))
+			r := runner.Rand(seed, i)
+			model := fab.Model{Plan: topo.DefaultFreqPlan, Sigma: FreqSpreadFig7 * (0.7 + 0.3*float64(n)/127.0)}
+			var obs []float64
+			for c := 0; c < cycles; c++ {
+				f := model.Sample(r, d)
+				for _, e := range d.G.Edges() {
+					obs = append(obs, cfg.SampleEdgeError(r, math.Abs(f[e.U]-f[e.V]), d.N))
+				}
+			}
+			if want := stats.Summarize(obs); got[i] != want {
+				t.Fatalf("SizeSeries %dq: got %+v, want %+v", n, got[i], want)
+			}
 		}
 	}
 }

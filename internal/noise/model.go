@@ -40,12 +40,6 @@ func NewDetuningModel(points []CalibPoint, binWidth float64) *DetuningModel {
 	return &DetuningModel{series: s}
 }
 
-// DefaultDetuningModel builds the model from the reference synthetic
-// Washington calibration set.
-func DefaultDetuningModel(seed int64) *DetuningModel {
-	return NewDetuningModel(DefaultCalibration(seed), BinWidthFig7)
-}
-
 // Sample draws one gate infidelity for a coupling with the given
 // detuning. It panics if the model holds no calibration data at all.
 func (m *DetuningModel) Sample(r *rand.Rand, detuning float64) float64 {

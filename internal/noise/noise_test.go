@@ -12,6 +12,18 @@ import (
 	"chipletqc/internal/topo"
 )
 
+// testCalibration is the reference Fig. 7 dataset: a Washington-class
+// device at the deployed-device frequency spread, 15 calibration
+// cycles, as the paper scenario's detuning spec builds it.
+func testCalibration(seed int64) []CalibPoint {
+	return CalibrationRun(WashingtonSpec(), FreqSpreadFig7, 15, seed, DefaultCalibConfig())
+}
+
+// testDetuningModel bins the reference dataset at the paper's width.
+func testDetuningModel(seed int64) *DetuningModel {
+	return NewDetuningModel(testCalibration(seed), BinWidthFig7)
+}
+
 func TestPenaltyFactorShape(t *testing.T) {
 	cfg := DefaultCalibConfig()
 	// Far from resonances: factor ~ 1.
@@ -49,7 +61,7 @@ func TestSampleEdgeErrorClamps(t *testing.T) {
 func TestFig7PooledStatistics(t *testing.T) {
 	// The synthetic Washington calibration must reproduce the paper's
 	// Fig. 7 annotations: median ~0.012, average ~0.018.
-	m := DefaultDetuningModel(41)
+	m := testDetuningModel(41)
 	median, mean := m.PooledStats()
 	if median < 0.008 || median > 0.016 {
 		t.Errorf("pooled median = %v, want ~0.012", median)
@@ -207,7 +219,7 @@ func TestAssignCoversEveryCoupling(t *testing.T) {
 	d := mcm.MustBuild(mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
 	r := rand.New(rand.NewSource(12))
 	f := fab.DefaultModel().Sample(r, d)
-	det := DefaultDetuningModel(13)
+	det := testDetuningModel(13)
 	a := Assign(r, d, f, det, DefaultLinkModel())
 	if len(a.Err) != d.G.M() {
 		t.Fatalf("assigned %d errors, want %d", len(a.Err), d.G.M())
@@ -228,7 +240,7 @@ func TestAssignLinksAreNoisierAtStateOfArt(t *testing.T) {
 	d := mcm.MustBuild(mcm.Grid{Rows: 3, Cols: 3, Spec: topo.ChipSpec{DenseRows: 4, Width: 12}})
 	r := rand.New(rand.NewSource(21))
 	f := fab.DefaultModel().Sample(r, d)
-	det := DefaultDetuningModel(22)
+	det := testDetuningModel(22)
 	a := Assign(r, d, f, det, DefaultLinkModel())
 	var link, chip []float64
 	for e, err := range a.Err {
@@ -251,7 +263,7 @@ func TestAssignmentAccessors(t *testing.T) {
 	d := topo.MonolithicDevice(topo.ChipSpec{DenseRows: 1, Width: 8})
 	r := rand.New(rand.NewSource(30))
 	f := fab.DefaultModel().Sample(r, d)
-	det := DefaultDetuningModel(31)
+	det := testDetuningModel(31)
 	a := Assign(r, d, f, det, DefaultLinkModel())
 	e := d.G.Edges()[0]
 	if a.Get(e.U, e.V) != a.Err[e] || a.Get(e.V, e.U) != a.Err[e] {
@@ -296,7 +308,7 @@ func TestAssignmentMeanIsDeterministic(t *testing.T) {
 	d := mcm.MustBuild(mcm.Grid{Rows: 5, Cols: 5, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
 	r := rand.New(rand.NewSource(40))
 	f := fab.DefaultModel().Sample(r, d)
-	a := Assign(r, d, f, DefaultDetuningModel(41), DefaultLinkModel())
+	a := Assign(r, d, f, testDetuningModel(41), DefaultLinkModel())
 	want := math.Float64bits(a.MeanOver(d.G.Edges()))
 	for i := 0; i < 50; i++ {
 		if got := math.Float64bits(a.Mean()); got != want {
@@ -308,7 +320,7 @@ func TestAssignmentMeanIsDeterministic(t *testing.T) {
 func TestAssignmentEdgesSorted(t *testing.T) {
 	d := mcm.MustBuild(mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
 	r := rand.New(rand.NewSource(42))
-	a := Assign(r, d, fab.DefaultModel().Sample(r, d), DefaultDetuningModel(43), DefaultLinkModel())
+	a := Assign(r, d, fab.DefaultModel().Sample(r, d), testDetuningModel(43), DefaultLinkModel())
 	if got, want := a.Edges(), d.G.Edges(); !slices.Equal(got, want) {
 		t.Errorf("Edges() = %v, want the device's sorted edges %v", got, want)
 	}

@@ -188,12 +188,14 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 }
 
 // The paper scenario's detuning model must be the exact model the
-// pre-scenario code built via noise.DefaultDetuningModel: same
-// calibration run, same binning, hence identical samples.
+// pre-scenario code built: the Washington-class calibration run at the
+// deployed-device spread over 15 cycles, binned at the Fig. 7 width,
+// hence identical samples.
 func TestPaperDetuningModelMatchesLegacyDefault(t *testing.T) {
 	const seed = 99
 	got := Paper().DetuningModel(seed)
-	want := noise.DefaultDetuningModel(seed)
+	want := noise.NewDetuningModel(noise.CalibrationRun(noise.WashingtonSpec(), noise.FreqSpreadFig7, 15, seed,
+		noise.DefaultCalibConfig()), noise.BinWidthFig7)
 	r1 := rand.New(rand.NewSource(1))
 	r2 := rand.New(rand.NewSource(1))
 	for _, det := range []float64{0, 0.05, 0.165, 0.33, 0.6} {
