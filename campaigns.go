@@ -6,6 +6,7 @@ import (
 
 	"chipletqc/internal/campaign"
 	"chipletqc/internal/store"
+	"chipletqc/internal/yield"
 )
 
 // Campaign re-exports: a campaign is a scenario×experiment sweep run
@@ -40,6 +41,9 @@ type (
 	CampaignPlan = campaign.Plan
 	// CampaignOverride is one named set of per-run config adjustments.
 	CampaignOverride = campaign.Override
+	// YieldPolicyOverride is the trial-policy part of a
+	// CampaignOverride, in flag sentinel form.
+	YieldPolicyOverride = yield.PolicyOverride
 	// CampaignCell is one expanded unit of a campaign grid.
 	CampaignCell = campaign.Cell
 	// CampaignShard selects a deterministic grid partition (i of n).

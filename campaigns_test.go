@@ -105,6 +105,29 @@ func TestExpandCampaignDryRun(t *testing.T) {
 	}
 }
 
+// TestFacadeNamesThePolicyTypes: an external caller can spell the
+// embedded trial policy in keyed literals through the facade aliases.
+func TestFacadeNamesThePolicyTypes(t *testing.T) {
+	cells, err := chipletqc.ExpandCampaign(chipletqc.CampaignPlan{
+		Experiments: []string{"fig2"},
+		Overrides: []chipletqc.CampaignOverride{{
+			Label: "adaptive", PolicyOverride: chipletqc.YieldPolicyOverride{Precision: 0.02, MaxTrials: 4000},
+		}},
+		Seed: 1,
+	})
+	if err != nil {
+		t.Fatalf("ExpandCampaign: %v", err)
+	}
+	want := chipletqc.YieldPolicy{Precision: 0.02, MaxTrials: 4000}
+	if got := cells[0].Config.Policy; got != want {
+		t.Errorf("override reached the cell as %+v, want %+v", got, want)
+	}
+	trials := chipletqc.TrialPolicy{MonoBatch: 1, ChipletBatch: 1, Policy: want}
+	if trials.Precision != 0.02 {
+		t.Errorf("TrialPolicy selector Precision = %g, want 0.02", trials.Precision)
+	}
+}
+
 // TestParseCampaignShardFacade pins the facade shard parser.
 func TestParseCampaignShardFacade(t *testing.T) {
 	sh, err := chipletqc.ParseCampaignShard("1/3")

@@ -51,7 +51,6 @@ import (
 	"chipletqc/internal/noise"
 	"chipletqc/internal/qbench"
 	"chipletqc/internal/runner"
-	"chipletqc/internal/sampling"
 	"chipletqc/internal/scenario"
 	"chipletqc/internal/topo"
 	"chipletqc/internal/yield"
@@ -249,12 +248,33 @@ func (o YieldOptions) Validate() error {
 	if o.RelPrecision != nil && *o.RelPrecision < 0 {
 		return fmt.Errorf("chipletqc: YieldOptions.RelPrecision %g is negative", *o.RelPrecision)
 	}
-	switch o.Sampling {
-	case "", "none", "off", sampling.Plain, sampling.Importance:
-	default:
-		return fmt.Errorf("chipletqc: YieldOptions.Sampling %q unknown (want plain, importance, or none)", o.Sampling)
+	if _, err := o.policy().Apply(yield.Policy{}); err != nil {
+		return fmt.Errorf("chipletqc: YieldOptions: %w", err)
 	}
 	return nil
+}
+
+// policy converts the pointer-valued trial-policy options into the
+// engine's override sentinels: nil inherits (0) and an explicit zero
+// resets (-1).
+func (o YieldOptions) policy() yield.PolicyOverride {
+	return yield.PolicyOverride{
+		Precision:    ptrOverride(o.Precision),
+		MaxTrials:    ptrOverride(o.MaxTrials),
+		RelPrecision: ptrOverride(o.RelPrecision),
+		Sampling:     o.Sampling,
+	}
+}
+
+// ptrOverride maps one pointer option to its override sentinel.
+func ptrOverride[T float64 | int](v *T) T {
+	switch {
+	case v == nil:
+		return 0
+	case *v == 0:
+		return -1
+	}
+	return *v
 }
 
 // SimulateYield estimates the collision-free yield of a device via Monte
@@ -293,21 +313,9 @@ func yieldConfigFromOptions(opts YieldOptions) (yield.Config, error) {
 		cfg.Model.Plan.Step = *opts.Step
 	}
 	cfg.Workers = opts.Workers
-	// nil adaptive knobs inherit the scenario's trial policy; a set
-	// pointer overrides it — including Ptr(0.0), which forces the
-	// historical fixed-batch mode under an adaptive scenario.
-	if opts.Precision != nil {
-		cfg.Precision = *opts.Precision
-	}
-	if opts.MaxTrials != nil {
-		cfg.MaxTrials = *opts.MaxTrials
-	}
-	if opts.RelPrecision != nil {
-		cfg.RelPrecision = *opts.RelPrecision
-	}
-	cfg.Sampling = yield.ResolveSamplingMethod(cfg.Sampling, opts.Sampling)
 	cfg.Progress = opts.Progress
-	return cfg, nil
+	cfg.Policy, err = opts.policy().Apply(cfg.Policy)
+	return cfg, err
 }
 
 // optionScenario resolves an option struct's scenario name, defaulting

@@ -2,16 +2,14 @@
 // monolithic architectures and reports application fidelity ratios
 // (Fig. 10).
 //
-// The full-catalog mode (-all) runs the registered "fig10" experiment
-// from the experiment registry; the single-system and -square modes
-// drive the ctx-first eval API with custom grid selections. Table II is
-// the registered "table2" experiment: `campaign -experiments table2`.
+// It evaluates one MCM system through the ctx-first eval API. Fig. 10
+// over every enumerated system is the registered "fig10" experiment
+// (`campaign -experiments fig10`), and Table II the "table2" one.
 //
 // Usage examples:
 //
 //	benchrun -chiplet 40 -rows 2 -cols 2   # Fig. 10 for one system
-//	benchrun -all -max 300                 # Fig. 10 over enumerated systems (registry artifact)
-//	benchrun -all -workers 8               # pin the worker-pool size
+//	benchrun -chiplet 40 -workers 8        # pin the worker-pool size
 //	benchrun -perf                         # write BENCH_yield.json perf record
 //	benchrun -perfcheck BENCH_yield.json   # fail on >10% ns/op regression vs the committed baseline
 package main
@@ -30,7 +28,6 @@ import (
 
 	"chipletqc/internal/cli"
 	"chipletqc/internal/eval"
-	"chipletqc/internal/experiment"
 	"chipletqc/internal/mcm"
 	"chipletqc/internal/report"
 	"chipletqc/internal/sampling"
@@ -48,12 +45,9 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	fs := cli.NewFlagSet("benchrun", errw)
 	rf := cli.Bind(fs, cli.Scenario|cli.TrialPolicy)
 	var (
-		all       = fs.Bool("all", false, "evaluate Fig. 10 over all enumerated systems (registry artifact)")
-		square    = fs.Bool("square", false, "restrict -all to square systems (Fig. 10b)")
 		chiplet   = fs.Int("chiplet", 20, "chiplet size for single-system evaluation")
 		rows      = fs.Int("rows", 2, "MCM rows")
 		cols      = fs.Int("cols", 2, "MCM cols")
-		maxQ      = fs.Int("max", 500, "largest system size for -all")
 		batch     = fs.Int("batch", 2000, "chiplet batch size (0 = the scenario's policy)")
 		mono      = fs.Int("mono", 2000, "monolithic batch size (0 = the scenario's policy)")
 		samples   = fs.Int("samples", 3, "device instances averaged per architecture")
@@ -114,7 +108,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	if *mono > 0 {
 		cfg.MonoBatch = *mono
 	}
-	cfg.MaxQubits = *maxQ
 	cfg.Fig10Samples = *samples
 
 	if *perfCheck != "" {
@@ -124,23 +117,11 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		return runPerf(ctx, scn, *batch, rf.Workers(), rf.Seed(), *perfOut, out)
 	}
 
-	if *all && !*square {
-		return experiment.RunAndRender(ctx, "fig10", cfg, out, *csv)
+	spec, err := scn.SpecForQubits(*chiplet)
+	if err != nil {
+		return err
 	}
-
-	// Custom grid selections (single system, or -all -square) drive the
-	// ctx-first eval API directly.
-	var grids []mcm.Grid
-	if *all && *square {
-		grids = mcm.SquareGridsFrom(scn.Catalog, *maxQ)
-	} else {
-		spec, err := scn.SpecForQubits(*chiplet)
-		if err != nil {
-			return err
-		}
-		grids = []mcm.Grid{{Rows: *rows, Cols: *cols, Spec: spec}}
-	}
-
+	grids := []mcm.Grid{{Rows: *rows, Cols: *cols, Spec: spec}}
 	pts, err := eval.Fig10(ctx, cfg, grids, *samples)
 	if err != nil {
 		return err
@@ -202,8 +183,7 @@ func measurePerf(ctx context.Context, scn scenario.Scenario, batch, workers int,
 	// The fixed-mode record must stay fixed even under a scenario whose
 	// trial policy is adaptive, or its ns/op is not comparable across
 	// PRs; the adaptive record pins its own 1% precision below.
-	base.Precision, base.MaxTrials, base.RelPrecision = 0, 0, 0
-	base.Sampling = sampling.Spec{}
+	base.Policy = yield.Policy{}
 
 	measure := func(name, scnName string, dev *topo.Device, cfg yield.Config) (perfRecord, error) {
 		res, err := yield.Simulate(ctx, dev, cfg) // warm-up + result snapshot

@@ -77,6 +77,7 @@ import (
 	"chipletqc/internal/generate"
 	"chipletqc/internal/scenario"
 	"chipletqc/internal/store"
+	"chipletqc/internal/yield"
 )
 
 func main() { cli.Main("campaign", run) }
@@ -146,11 +147,12 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		Seed:        rf.Seed(),
 		Quick:       rf.Quick(),
 	}
-	if p := rf.Policy(); p != (cli.Policy{}) {
-		plan.Overrides = []campaign.Override{{
-			Precision: p.Precision, MaxTrials: p.MaxTrials,
-			RelPrecision: p.RelPrecision, Sampling: p.Sampling,
-		}}
+	policy, err := rf.Policy()
+	if err != nil {
+		return err
+	}
+	if policy != (yield.PolicyOverride{}) {
+		plan.Overrides = []campaign.Override{{PolicyOverride: policy}}
 	}
 
 	admin := adminRequest{

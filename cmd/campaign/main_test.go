@@ -529,6 +529,22 @@ func TestBadFlagIsUsageError(t *testing.T) {
 	}
 }
 
+// TestNonFinitePolicyIsUsageError: the trial-policy flags are checked
+// before any cell is expanded, so a NaN or an unknown estimator never
+// reaches a plan.
+func TestNonFinitePolicyIsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-precision", "NaN"},
+		{"-relprecision", "+Inf"},
+		{"-sampling", "bogus"},
+	} {
+		args = append(args, "-list", "-quick", "-experiments", "fig2", "-store", "")
+		if _, _, err := runArgs(t, context.Background(), args...); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("%v: err = %v, want cli.ErrUsage", args, err)
+		}
+	}
+}
+
 // TestCancelledContext pins ctx propagation: a cancelled run returns
 // context.Canceled instead of completing.
 func TestCancelledContext(t *testing.T) {

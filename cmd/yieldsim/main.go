@@ -51,6 +51,10 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	if *batch < 0 {
 		return cli.Usagef(errw, "yieldsim: -batch %d is negative (0 = the scenario's policy)", *batch)
 	}
+	policy, err := rf.Policy()
+	if err != nil {
+		return err
+	}
 
 	scn, err := rf.Scenario()
 	if err != nil {
@@ -64,7 +68,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 	}
 	cfg := scn.YieldConfig(*batch, rf.Seed())
 	cfg.Workers = rf.Workers()
-	if err := rf.Policy().Apply(&cfg); err != nil {
+	if cfg.Policy, err = policy.Apply(cfg.Policy); err != nil {
 		return err
 	}
 

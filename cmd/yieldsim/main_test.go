@@ -111,6 +111,25 @@ func TestRunHelpIsNotAnError(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFinitePolicy: a trial-policy flag no policy can take
+// is a usage error that names the flag, as a negative -batch is, not a
+// silent fixed-batch run or a runtime error.
+func TestRunRejectsNonFinitePolicy(t *testing.T) {
+	for _, args := range [][]string{
+		{"-precision", "NaN"},
+		{"-precision", "+Inf"},
+		{"-relprecision", "NaN"},
+		{"-relprecision", "+Inf"},
+		{"-sampling", "bogus"},
+	} {
+		var out, errs strings.Builder
+		err := run(context.Background(), append(args, "-max", "20", "-batch", "300"), &out, &errs)
+		if !errors.Is(err, cli.ErrUsage) || !strings.Contains(errs.String(), args[0]) || out.Len() != 0 {
+			t.Errorf("%v: err = %v, stderr %q; want cli.ErrUsage naming %s and no report", args, err, errs.String(), args[0])
+		}
+	}
+}
+
 // TestRunBatchZeroIsScenarioPolicy pins -batch 0: it runs the
 // scenario's batch instead of reporting zero-trial yields, and a
 // negative batch is a usage error.

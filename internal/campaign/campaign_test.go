@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -422,6 +423,15 @@ func TestExpandValidation(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "duplicate scenario") {
 		t.Errorf("duplicate scenario should error, got %v", err)
 	}
+	// A bad trial policy fails at expansion, naming the override.
+	for _, o := range []yield.PolicyOverride{{Sampling: "bogus"}, {Precision: math.NaN()}, {RelPrecision: math.Inf(1)}} {
+		if _, err := campaign.Expand(campaign.Plan{
+			Experiments: []string{"test-count-a"},
+			Overrides:   []campaign.Override{{Label: "bad", PolicyOverride: o}},
+		}); err == nil || !strings.Contains(err.Error(), `override "bad"`) {
+			t.Errorf("override %+v should fail expansion, got %v", o, err)
+		}
+	}
 }
 
 // rawExp is a hand-rolled Experiment (no experiment.New wrapper) whose
@@ -520,7 +530,7 @@ func TestOverridesChangeFingerprints(t *testing.T) {
 	ref := fp(base)
 	for label, o := range map[string]campaign.Override{
 		"seed":      {Label: "v", Seed: ptr(int64(2))},
-		"precision": {Label: "v", Precision: 0.02},
+		"precision": {Label: "v", PolicyOverride: yield.PolicyOverride{Precision: 0.02}},
 		"mono":      {Label: "v", MonoBatch: 123},
 		"chiplet":   {Label: "v", ChipletBatch: 123},
 		"maxqubits": {Label: "v", MaxQubits: 60},

@@ -28,7 +28,6 @@ import (
 
 	"chipletqc/internal/eval"
 	"chipletqc/internal/experiment"
-	"chipletqc/internal/sampling"
 	"chipletqc/internal/scenario"
 	"chipletqc/internal/store"
 	"chipletqc/internal/yield"
@@ -48,19 +47,13 @@ type Override struct {
 	Label string `json:"label,omitempty"`
 	// Seed replaces the plan seed for this override's cells.
 	Seed *int64 `json:"seed,omitempty"`
-	// Precision and MaxTrials layer adaptive-mode knobs over the
-	// scenario trial policy with the CLI sentinel semantics
-	// (0 inherits, positive overrides, negative forces fixed batch).
-	Precision float64 `json:"precision,omitempty"`
-	MaxTrials int     `json:"max_trials,omitempty"`
-	// RelPrecision layers the adaptive mode's relative CI target with
-	// the same sentinels, and Sampling selects the yield estimator by
-	// method name ("" inherits the scenario's policy, "none" forces
-	// unlabelled plain counting; see internal/sampling). Rare-event cells
-	// configured this way fingerprint — and therefore cache — separately
-	// from their plain counterparts.
-	RelPrecision float64 `json:"rel_precision,omitempty"`
-	Sampling     string  `json:"sampling,omitempty"`
+	// PolicyOverride layers the adaptive stop and the estimator over
+	// the scenario's trial policy with the CLI sentinel semantics (0
+	// inherits, positive overrides, negative resets; "none" forces
+	// unlabelled plain counting). Its fields marshal inline. Rare-event
+	// cells configured this way fingerprint — and therefore cache —
+	// separately from their plain counterparts.
+	yield.PolicyOverride
 	// MonoBatch / ChipletBatch / MaxQubits replace the base config's
 	// batch sizes and size bound when positive; 0 inherits.
 	MonoBatch    int `json:"mono_batch,omitempty"`
@@ -69,13 +62,15 @@ type Override struct {
 }
 
 // apply layers the override onto a scenario-derived base config.
-func (o Override) apply(cfg eval.Config, planSeed int64) eval.Config {
+func (o Override) apply(cfg eval.Config, planSeed int64) (eval.Config, error) {
 	cfg.Seed = planSeed
 	if o.Seed != nil {
 		cfg.Seed = *o.Seed
 	}
-	cfg.ApplyTrialPolicyOverrides(o.Precision, o.MaxTrials)
-	cfg.ApplySamplingOverrides(o.Sampling, o.RelPrecision)
+	var err error
+	if cfg.Policy, err = o.PolicyOverride.Apply(cfg.Policy); err != nil {
+		return cfg, err
+	}
 	if o.MonoBatch > 0 {
 		cfg.MonoBatch = o.MonoBatch
 	}
@@ -85,7 +80,7 @@ func (o Override) apply(cfg eval.Config, planSeed int64) eval.Config {
 	if o.MaxQubits > 0 {
 		cfg.MaxQubits = o.MaxQubits
 	}
-	return cfg
+	return cfg, nil
 }
 
 // Plan describes a campaign: the cross product of experiment names,
@@ -193,11 +188,6 @@ func Expand(p Plan) ([]Cell, error) {
 			return nil, fmt.Errorf("campaign: duplicate override label %q", o.Label)
 		}
 		seen[o.Label] = true
-		// Fail an unknown estimator name at expansion, not mid-campaign
-		// inside some cell's experiment run.
-		if err := yield.ResolveSamplingMethod(sampling.Spec{}, o.Sampling).Validate(); err != nil {
-			return nil, fmt.Errorf("campaign: override %q: %w", o.Label, err)
-		}
 	}
 
 	cells := make([]Cell, 0, len(exps)*len(scns)*len(overrides))
@@ -208,7 +198,12 @@ func Expand(p Plan) ([]Cell, error) {
 				if p.Quick {
 					base = eval.QuickConfigFor(resolved[si], p.Seed)
 				}
-				cfg := o.apply(base, p.Seed)
+				// A bad override fails at expansion, not mid-campaign
+				// inside some cell's experiment run.
+				cfg, err := o.apply(base, p.Seed)
+				if err != nil {
+					return nil, fmt.Errorf("campaign: override %q: %w", o.Label, err)
+				}
 				cells = append(cells, Cell{
 					Index:       len(cells),
 					Experiment:  exp,

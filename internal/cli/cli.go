@@ -2,7 +2,9 @@
 // command keeps its logic in a testable run(ctx, args, out, errw) error
 // and its main is cli.Main(name, run); run binds the shared run flags
 // with Bind (each declared here once, with one help string) and renders
-// tables with Emit.
+// tables with Emit. The trial-policy flags read back as one
+// yield.PolicyOverride (Run.Policy); a value no policy can take is a
+// usage error (exit 2) that names its flag.
 package cli
 
 import (
@@ -18,7 +20,6 @@ import (
 
 	"chipletqc/internal/eval"
 	"chipletqc/internal/report"
-	"chipletqc/internal/sampling"
 	"chipletqc/internal/scenario"
 	"chipletqc/internal/yield"
 )
@@ -93,6 +94,7 @@ const (
 // Run holds the bound run flags; read it after the flag set parses.
 // Flags a command did not bind keep their defaults.
 type Run struct {
+	fs                      *flag.FlagSet
 	scenario, sampling      *string
 	seed                    *int64
 	workers, maxTrials      *int
@@ -105,7 +107,7 @@ type Run struct {
 func Bind(fs *flag.FlagSet, with Flags) *Run {
 	paper := scenario.PaperName
 	r := &Run{
-		scenario: &paper, sampling: new(string),
+		fs: fs, scenario: &paper, sampling: new(string),
 		maxTrials: new(int), quick: new(bool),
 		precision: new(float64), relPrecision: new(float64),
 	}
@@ -138,49 +140,35 @@ func (r *Run) Quick() bool { return *r.quick }
 // Scenario resolves -scenario against the registry.
 func (r *Run) Scenario() (scenario.Scenario, error) { return scenario.Lookup(*r.scenario) }
 
-// Policy returns the trial-policy flags.
-func (r *Run) Policy() Policy {
-	return Policy{
+// Policy returns the trial-policy flags as an override of the
+// scenario's policy; a value no policy can take is a usage error that
+// names its flag.
+func (r *Run) Policy() (yield.PolicyOverride, error) {
+	o := yield.PolicyOverride{
 		Precision:    *r.precision,
 		MaxTrials:    *r.maxTrials,
 		RelPrecision: *r.relPrecision,
 		Sampling:     *r.sampling,
 	}
+	if _, err := o.Apply(yield.Policy{}); err != nil {
+		return o, Usagef(r.fs.Output(), "%s: -%v", r.fs.Name(), err)
+	}
+	return o, nil
 }
 
 // Eval resolves the flags into a paper-scale experiment config under
 // -scenario, with -workers and the trial policy layered on.
 func (r *Run) Eval() (eval.Config, error) {
+	o, err := r.Policy()
+	if err != nil {
+		return eval.Config{}, err
+	}
 	scn, err := r.Scenario()
 	if err != nil {
 		return eval.Config{}, err
 	}
 	cfg := eval.ConfigFor(scn, r.Seed())
 	cfg.Workers = r.Workers()
-	err = r.Policy().Apply(&cfg)
+	cfg.Policy, err = o.Apply(cfg.Policy)
 	return cfg, err
-}
-
-// Policy is a per-run override of a scenario's trial policy. The zero
-// value inherits everything; yield.ResolveTrialPolicy and
-// yield.ResolveSamplingMethod define the sentinels.
-type Policy struct {
-	Precision    float64
-	MaxTrials    int
-	RelPrecision float64
-	Sampling     string
-}
-
-// Apply validates the estimator name and layers the policy onto cfg,
-// an eval.Config or a yield.Config.
-func (p Policy) Apply(cfg interface {
-	ApplyTrialPolicyOverrides(precision float64, maxTrials int)
-	ApplySamplingOverrides(method string, relPrecision float64)
-}) error {
-	if err := yield.ResolveSamplingMethod(sampling.Spec{}, p.Sampling).Validate(); err != nil {
-		return err
-	}
-	cfg.ApplyTrialPolicyOverrides(p.Precision, p.MaxTrials)
-	cfg.ApplySamplingOverrides(p.Sampling, p.RelPrecision)
-	return nil
 }

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"chipletqc/internal/sampling"
 	"chipletqc/internal/scenario"
+	"chipletqc/internal/yield"
 )
 
 // TestBindDeclaresOnlyTheSelectedFlags: -seed and -workers are always
@@ -29,8 +29,8 @@ func TestBindDeclaresOnlyTheSelectedFlags(t *testing.T) {
 	if err := fs.Parse([]string{"-seed", "7", "-quick"}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Seed() != 7 || !r.Quick() || r.Workers() != 0 || r.Policy() != (Policy{}) {
-		t.Errorf("parsed run flags wrong: seed %d quick %v workers %d policy %+v", r.Seed(), r.Quick(), r.Workers(), r.Policy())
+	if p, err := r.Policy(); r.Seed() != 7 || !r.Quick() || r.Workers() != 0 || p != (yield.PolicyOverride{}) || err != nil {
+		t.Errorf("parsed run flags wrong: seed %d quick %v workers %d policy %+v (err %v)", r.Seed(), r.Quick(), r.Workers(), p, err)
 	}
 	if s, err := r.Scenario(); err != nil || s.Name != scenario.PaperName {
 		t.Errorf("unbound -scenario = %q (err %v), want the paper default", s.Name, err)
@@ -38,7 +38,9 @@ func TestBindDeclaresOnlyTheSelectedFlags(t *testing.T) {
 }
 
 // TestEvalLayersTheTrialPolicy: the flags reach the experiment config
-// through the yield sentinels, and an unknown estimator is an error.
+// as an override of the scenario's policy (yield's tests pin the
+// sentinels), and a value no policy can take is a usage error naming
+// its flag.
 func TestEvalLayersTheTrialPolicy(t *testing.T) {
 	fs := NewFlagSet("t", io.Discard)
 	r := Bind(fs, Scenario|TrialPolicy)
@@ -50,23 +52,29 @@ func TestEvalLayersTheTrialPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ResolvedScenario().Name != "tight-thresholds" || cfg.Workers != 3 ||
-		cfg.Precision != 0.02 || cfg.MaxTrials != 0 || cfg.Sampling != (sampling.Spec{}) {
-		t.Errorf("Eval config wrong: scenario %s workers %d precision %g maxtrials %d sampling %+v",
-			cfg.ResolvedScenario().Name, cfg.Workers, cfg.Precision, cfg.MaxTrials, cfg.Sampling)
-	}
-	if cfg.RelPrecision != cfg.ResolvedScenario().Trials.RelPrecision {
-		t.Errorf("-relprecision 0 should inherit the scenario's %g, got %g",
-			cfg.ResolvedScenario().Trials.RelPrecision, cfg.RelPrecision)
+	scn := cfg.ResolvedScenario()
+	want := yield.Policy{Precision: 0.02, RelPrecision: scn.Trials.RelPrecision}
+	if scn.Name != "tight-thresholds" || cfg.Workers != 3 || cfg.Policy != want {
+		t.Errorf("Eval config wrong: scenario %s workers %d policy %+v, want policy %+v",
+			scn.Name, cfg.Workers, cfg.Policy, want)
 	}
 
-	fs = NewFlagSet("t", io.Discard)
-	r = Bind(fs, Scenario|TrialPolicy)
-	if err := fs.Parse([]string{"-sampling", "bogus"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Eval(); err == nil {
-		t.Error("an unknown -sampling method should fail Eval")
+	for _, args := range [][]string{
+		{"-precision", "NaN"},
+		{"-precision", "+Inf"},
+		{"-relprecision", "NaN"},
+		{"-relprecision", "-Inf"},
+		{"-sampling", "bogus"},
+	} {
+		var errw strings.Builder
+		fs := NewFlagSet("t", &errw)
+		r := Bind(fs, Scenario|TrialPolicy)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Eval(); !errors.Is(err, ErrUsage) || !strings.HasPrefix(errw.String(), "t: "+args[0]) {
+			t.Errorf("%v: Eval error %v, stderr %q; want a usage error naming %s", args, err, errw.String(), args[0])
+		}
 	}
 }
 

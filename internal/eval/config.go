@@ -8,7 +8,6 @@ import (
 	"chipletqc/internal/collision"
 	"chipletqc/internal/noise"
 	"chipletqc/internal/runner"
-	"chipletqc/internal/sampling"
 	"chipletqc/internal/scenario"
 	"chipletqc/internal/stats"
 	"chipletqc/internal/topo"
@@ -58,28 +57,14 @@ type Config struct {
 	// stream from (seed, trial index), so results are identical at any
 	// worker count.
 	Workers int
-	// Precision switches the yield Monte Carlo loops into adaptive
-	// mode: each simulation streams trials and stops once its 95% CI
-	// half-width falls to this target (e.g. 0.01 for +-1%). 0 keeps the
-	// fixed-batch mode, bit-identical to earlier releases. Early-stop
-	// decisions happen only at fixed checkpoint trial counts, so
-	// adaptive results are still worker-count invariant.
-	Precision float64
-	// MaxTrials caps each adaptive simulation's budget; <= 0 falls back
-	// to the relevant fixed batch size (MonoBatch / ChipletBatch).
-	MaxTrials int
-	// RelPrecision is the adaptive mode's relative target: stop once
-	// each simulation's 95% CI half-width falls to RelPrecision x the
-	// point estimate — the right stopping rule for deep-low-yield
-	// scenarios, where any absolute target stops before the event is
-	// even observed. Either target being met stops a run; 0 disables
-	// this one.
-	RelPrecision float64
-	// Sampling selects the yield estimator (see internal/sampling):
-	// plain counting, or importance sampling with likelihood-ratio
-	// reweighting for rare-event scenarios. The zero spec counts with
-	// the plain estimator but leaves results unlabelled.
-	Sampling sampling.Spec
+	// Policy is the trial policy of every yield Monte Carlo loop the
+	// experiments run: the adaptive stop (MaxTrials <= 0 falls back to
+	// the relevant fixed batch, MonoBatch or ChipletBatch) and the
+	// estimator. The zero value keeps the fixed-batch mode,
+	// bit-identical to earlier releases. Early-stop decisions happen
+	// only at fixed checkpoint trial counts, so adaptive results are
+	// still worker-count invariant.
+	yield.Policy
 
 	// Progress, when non-nil, receives streaming progress events from
 	// the experiment pipelines: per-device trial counts at every
@@ -112,10 +97,7 @@ func ConfigFor(s scenario.Scenario, seed int64) Config {
 		Seed:          seed,
 		MonoBatch:     s.Trials.MonoBatch,
 		ChipletBatch:  s.Trials.ChipletBatch,
-		Precision:     s.Trials.Precision,
-		MaxTrials:     s.Trials.MaxTrials,
-		RelPrecision:  s.Trials.RelPrecision,
-		Sampling:      s.Trials.Sampling,
+		Policy:        s.Trials.Policy,
 		MaxQubits:     500,
 		Fig4MaxQubits: 1000,
 		Fig6Batch:     100000,
@@ -185,25 +167,6 @@ func (c *Config) linkModel() noise.LinkModel {
 	return link
 }
 
-// ApplyTrialPolicyOverrides layers per-run adaptive knobs over the
-// scenario trial policy already on the config; yield.ResolveTrialPolicy
-// defines the sentinel semantics (0 inherits, positive overrides,
-// negative forces the historical fixed-batch mode).
-func (c *Config) ApplyTrialPolicyOverrides(precision float64, maxTrials int) {
-	c.Precision = yield.ResolveTrialPolicy(c.Precision, precision)
-	c.MaxTrials = yield.ResolveTrialPolicy(c.MaxTrials, maxTrials)
-}
-
-// ApplySamplingOverrides layers per-run estimator and relative-precision
-// knobs over the scenario trial policy already on the config;
-// yield.ResolveSamplingMethod defines the method sentinels ("" inherits,
-// "none" forces unlabelled plain counting) and yield.ResolveTrialPolicy
-// the relative-precision ones.
-func (c *Config) ApplySamplingOverrides(method string, relPrecision float64) {
-	c.Sampling = yield.ResolveSamplingMethod(c.Sampling, method)
-	c.RelPrecision = yield.ResolveTrialPolicy(c.RelPrecision, relPrecision)
-}
-
 // progress emits a unit-level event when a Progress hook is installed.
 func (c *Config) progress(label string, done, total int) {
 	if c.Progress != nil {
@@ -224,16 +187,13 @@ func (c *Config) assembleConfig(seedOffset int64) assembly.AssembleConfig {
 }
 
 // yieldConfig assembles a collision-free yield simulation configuration
-// from the scenario, layered with the per-run adaptive and progress
-// knobs. The Progress hook is forwarded so long Monte Carlo campaigns
-// report per-device checkpoint counts.
+// from the scenario, layered with the run's workers, trial policy and
+// Progress hook, so long Monte Carlo campaigns report per-device
+// checkpoint counts.
 func (c *Config) yieldConfig(batch int, seed int64) yield.Config {
 	ycfg := c.scn().YieldConfig(batch, seed)
 	ycfg.Workers = c.Workers
-	ycfg.Precision = c.Precision
-	ycfg.MaxTrials = c.MaxTrials
-	ycfg.RelPrecision = c.RelPrecision
-	ycfg.Sampling = c.Sampling
+	ycfg.Policy = c.Policy
 	ycfg.Progress = c.Progress
 	return ycfg
 }

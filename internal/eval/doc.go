@@ -20,7 +20,8 @@
 // link and detuning error models, assembly policy — comes entirely
 // from the scenario (Config.Scenario, nil = the registered "paper"
 // baseline). The remaining fields scale one run: Seed, the Monte Carlo
-// batch sizes, Workers, the adaptive Precision/MaxTrials policy, the
+// batch sizes, Workers, the embedded yield.Policy (adaptive stop and
+// estimator, seeded from the scenario's trial policy), the
 // per-experiment registry knobs (Fig4MaxQubits, Fig6Batch, ...), and a
 // streaming Progress hook. ConfigFor/QuickConfigFor build paper-scale
 // and smoke-scale configs from a scenario.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chipletqc/internal/scenario"
+	"chipletqc/internal/yield"
 )
 
 func ptr[T any](v T) *T { return &v }
@@ -64,10 +65,11 @@ func TestZeroConfigResolvesToPaperScenario(t *testing.T) {
 	}
 }
 
-// The CLI override helper: 0 inherits the scenario policy, positive
-// overrides, negative forces fixed-batch mode.
+// A per-run override edits the yield.Policy embedded in Config: 0
+// inherits the scenario policy, positive overrides, negative forces
+// fixed-batch mode.
 func TestApplyTrialPolicyOverrides(t *testing.T) {
-	base := Config{Precision: 0.05, MaxTrials: 4000} // as seeded by an adaptive scenario
+	base := Config{Policy: yield.Policy{Precision: 0.05, MaxTrials: 4000}} // as seeded by an adaptive scenario
 	cases := []struct {
 		precision     float64
 		maxTrials     int
@@ -81,9 +83,13 @@ func TestApplyTrialPolicyOverrides(t *testing.T) {
 	}
 	for _, c := range cases {
 		cfg := base
-		cfg.ApplyTrialPolicyOverrides(c.precision, c.maxTrials)
+		p, err := yield.PolicyOverride{Precision: c.precision, MaxTrials: c.maxTrials}.Apply(cfg.Policy)
+		if err != nil {
+			t.Fatalf("Apply(%g, %d): %v", c.precision, c.maxTrials, err)
+		}
+		cfg.Policy = p
 		if cfg.Precision != c.wantPrecision || cfg.MaxTrials != c.wantMax {
-			t.Errorf("ApplyTrialPolicyOverrides(%g, %d) = (%g, %d), want (%g, %d)",
+			t.Errorf("Apply(%g, %d) = (%g, %d), want (%g, %d)",
 				c.precision, c.maxTrials, cfg.Precision, cfg.MaxTrials, c.wantPrecision, c.wantMax)
 		}
 	}
@@ -93,7 +99,7 @@ func TestApplyTrialPolicyOverrides(t *testing.T) {
 // scenario on the config.
 func TestConfigForCarriesScenarioPolicy(t *testing.T) {
 	s := scenario.Paper()
-	s.Trials = scenario.TrialPolicy{MonoBatch: 123, ChipletBatch: 456, Precision: 0.02, MaxTrials: 789}
+	s.Trials = scenario.TrialPolicy{MonoBatch: 123, ChipletBatch: 456, Policy: yield.Policy{Precision: 0.02, MaxTrials: 789}}
 	cfg := ConfigFor(s, 5)
 	if cfg.MonoBatch != 123 || cfg.ChipletBatch != 456 || cfg.Precision != 0.02 || cfg.MaxTrials != 789 {
 		t.Errorf("ConfigFor dropped the trial policy: %+v", cfg)

@@ -11,9 +11,6 @@ import (
 // layers derive weights from -log(1 - error), which is always >= 0.
 type WeightFunc func(u, v int) float64
 
-// UniformWeight treats every edge as cost 1, reducing Dijkstra to BFS.
-func UniformWeight(u, v int) float64 { return 1 }
-
 // ShortestPathWeighted returns a minimum-cost path from src to dst under
 // the weight function, inclusive of both endpoints, plus its total cost.
 // It returns (nil, +Inf) when dst is unreachable. Ties break toward the

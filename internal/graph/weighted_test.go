@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// unitWeight treats every edge as cost 1, reducing Dijkstra to BFS.
+func unitWeight(u, v int) float64 { return 1 }
+
 func TestShortestPathWeightedPrefersCheapDetour(t *testing.T) {
 	// 0-1 expensive direct edge; 0-2-1 cheap detour.
 	g := New(3)
@@ -42,7 +45,7 @@ func TestShortestPathWeightedUniformMatchesBFS(t *testing.T) {
 			}
 		}
 		src, dst := r.Intn(n), r.Intn(n)
-		path, cost := g.ShortestPathWeighted(src, dst, UniformWeight)
+		path, cost := g.ShortestPathWeighted(src, dst, unitWeight)
 		bfs := g.BFSFrom(src)[dst]
 		if int(cost) != bfs || len(path)-1 != bfs {
 			t.Fatalf("uniform dijkstra cost %v != bfs %d", cost, bfs)
@@ -53,10 +56,10 @@ func TestShortestPathWeightedUniformMatchesBFS(t *testing.T) {
 func TestShortestPathWeightedTrivialAndUnreachable(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1)
-	if p, c := g.ShortestPathWeighted(2, 2, UniformWeight); len(p) != 1 || c != 0 {
+	if p, c := g.ShortestPathWeighted(2, 2, unitWeight); len(p) != 1 || c != 0 {
 		t.Errorf("trivial = %v, %v", p, c)
 	}
-	if p, c := g.ShortestPathWeighted(0, 2, UniformWeight); p != nil || !math.IsInf(c, 1) {
+	if p, c := g.ShortestPathWeighted(0, 2, unitWeight); p != nil || !math.IsInf(c, 1) {
 		t.Errorf("unreachable = %v, %v", p, c)
 	}
 }
@@ -116,8 +119,8 @@ func TestShortestPathWeightedDeterministicTies(t *testing.T) {
 	g.AddEdge(1, 3)
 	g.AddEdge(0, 2)
 	g.AddEdge(2, 3)
-	p1, _ := g.ShortestPathWeighted(0, 3, UniformWeight)
-	p2, _ := g.ShortestPathWeighted(0, 3, UniformWeight)
+	p1, _ := g.ShortestPathWeighted(0, 3, unitWeight)
+	p2, _ := g.ShortestPathWeighted(0, 3, unitWeight)
 	for i := range p1 {
 		if p1[i] != p2[i] {
 			t.Fatal("tie-breaking is unstable")

@@ -38,7 +38,6 @@ import (
 	"chipletqc/internal/collision"
 	"chipletqc/internal/fab"
 	"chipletqc/internal/noise"
-	"chipletqc/internal/sampling"
 	"chipletqc/internal/topo"
 	"chipletqc/internal/yield"
 )
@@ -97,27 +96,15 @@ type AssemblyPolicy struct {
 }
 
 // TrialPolicy is a scenario's default Monte Carlo budget: batch sizes
-// for the fixed mode plus the adaptive-mode precision/budget knobs.
-// Experiment configs start from these and may be overridden per run
-// (CLI flags, eval.Config fields).
+// for the fixed mode plus the yield trial policy (adaptive stop and
+// estimator). Experiment configs start from these and may be
+// overridden per run (yield.PolicyOverride, eval.Config fields).
+// Rare-event scenarios default to importance sampling so campaign
+// cells get the variance reduction without per-run flags.
 type TrialPolicy struct {
-	MonoBatch    int     // monolithic Monte Carlo batch (paper: 10^4)
-	ChipletBatch int     // chiplet fabrication batch (paper: 10^4)
-	Precision    float64 // adaptive 95% CI half-width target (0 = fixed batch)
-	MaxTrials    int     // adaptive budget cap (0 = batch size)
-
-	// RelPrecision is the adaptive mode's relative target: stop once
-	// the CI half-width <= RelPrecision x the point estimate (0 =
-	// disabled). This is the stopping rule that works for deep-low
-	// yields, where any absolute target stops before the event has
-	// been observed.
-	RelPrecision float64
-	// Sampling selects the scenario's default yield estimator (see
-	// internal/sampling). The zero spec keeps unlabelled plain
-	// counting; rare-event scenarios default to importance
-	// sampling so campaign cells get the variance reduction without
-	// per-run flags.
-	Sampling sampling.Spec
+	MonoBatch    int // monolithic Monte Carlo batch (paper: 10^4)
+	ChipletBatch int // chiplet fabrication batch (paper: 10^4)
+	yield.Policy
 }
 
 // Scenario bundles everything that defines a simulated device world.
@@ -196,16 +183,8 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("scenario %q: trial batches (%d mono, %d chiplet) must be positive",
 			s.Name, s.Trials.MonoBatch, s.Trials.ChipletBatch)
 	}
-	if s.Trials.Precision < 0 || s.Trials.MaxTrials < 0 {
-		return fmt.Errorf("scenario %q: negative trial policy (precision %g, max trials %d)",
-			s.Name, s.Trials.Precision, s.Trials.MaxTrials)
-	}
-	if s.Trials.RelPrecision < 0 {
-		return fmt.Errorf("scenario %q: negative relative precision %g",
-			s.Name, s.Trials.RelPrecision)
-	}
-	if err := s.Trials.Sampling.Validate(); err != nil {
-		return fmt.Errorf("scenario %q: %w", s.Name, err)
+	if err := s.Trials.Policy.Validate(); err != nil {
+		return fmt.Errorf("scenario %q: trial policy: %w", s.Name, err)
 	}
 	if s.Topology != nil {
 		if err := s.Topology.Validate(); err != nil {
@@ -279,15 +258,12 @@ func (s Scenario) CollisionFree(d *topo.Device, f []float64) bool {
 // defaults come from the trial policy; callers override per run.
 func (s Scenario) YieldConfig(batch int, seed int64) yield.Config {
 	return yield.Config{
-		Batch:        batch,
-		Model:        s.Fab,
-		Params:       s.Params,
-		Catalog:      s.Catalog,
-		Seed:         seed,
-		Precision:    s.Trials.Precision,
-		RelPrecision: s.Trials.RelPrecision,
-		MaxTrials:    s.Trials.MaxTrials,
-		Sampling:     s.Trials.Sampling,
+		Batch:   batch,
+		Model:   s.Fab,
+		Params:  s.Params,
+		Catalog: s.Catalog,
+		Seed:    seed,
+		Policy:  s.Trials.Policy,
 	}
 }
 

@@ -128,6 +128,12 @@ func TestRegisterRejectsDuplicateAndInvalid(t *testing.T) {
 		s.Fab.Sigma = -1
 		Register(s)
 	})
+	mustPanic("NaN precision", func() {
+		s := newPaper()
+		s.Name = "broken-precision"
+		s.Trials.Precision = math.NaN()
+		Register(s)
+	})
 }
 
 func TestValidateCatchesBadFields(t *testing.T) {
@@ -177,6 +183,9 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"NaN plan step", func(s *Scenario) { s.Fab.Plan.Step = nan }},
 		{"NaN link sigma", func(s *Scenario) { s.Link.Sigma = nan }},
 		{"+Inf link sigma", func(s *Scenario) { s.Link.Sigma = inf }},
+		{"NaN precision", func(s *Scenario) { s.Trials.Precision = nan }},
+		{"+Inf precision", func(s *Scenario) { s.Trials.Precision = inf }},
+		{"NaN relative precision", func(s *Scenario) { s.Trials.RelPrecision = nan }},
 	}
 	for _, c := range cases {
 		s := newPaper()

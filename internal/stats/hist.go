@@ -47,11 +47,6 @@ func (b *BinnedSeries) Add(x, y float64) {
 	b.Bins[i] = append(b.Bins[i], y)
 }
 
-// Bin returns the y values recorded in the bin containing x.
-func (b *BinnedSeries) Bin(x float64) []float64 {
-	return b.Bins[b.binIndex(x)]
-}
-
 // NearestNonEmpty returns the y values of the non-empty bin closest to the
 // bin containing x, searching outward symmetrically. It returns nil only
 // when every bin is empty.

@@ -151,11 +151,11 @@ func TestBinnedSeries(t *testing.T) {
 	b.Add(0.05, 1)
 	b.Add(0.07, 2)
 	b.Add(0.45, 3)
-	if got := b.Bin(0.05); len(got) != 2 {
-		t.Errorf("Bin(0.05) = %v, want 2 values", got)
+	if got := b.Bins[b.binIndex(0.05)]; len(got) != 2 {
+		t.Errorf("bin of 0.05 = %v, want 2 values", got)
 	}
-	if got := b.Bin(0.49); len(got) != 1 || got[0] != 3 {
-		t.Errorf("Bin(0.49) = %v, want [3]", got)
+	if got := b.Bins[b.binIndex(0.49)]; len(got) != 1 || got[0] != 3 {
+		t.Errorf("bin of 0.49 = %v, want [3]", got)
 	}
 	if got := b.All(); len(got) != 3 {
 		t.Errorf("All = %v, want 3 values", got)

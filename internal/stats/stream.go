@@ -43,15 +43,6 @@ func (w *Welford) Variance() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// StdErr returns the standard error of the mean (0 when fewer than two
-// observations are present).
-func (w *Welford) StdErr() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.StdDev() / math.Sqrt(float64(w.n))
-}
-
 // Merge folds another accumulator into w (Chan et al.'s parallel
 // update), so per-worker accumulators can be combined exactly.
 func (w *Welford) Merge(o Welford) {

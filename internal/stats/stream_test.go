@@ -41,11 +41,11 @@ func TestWelfordMatchesBatchStatistics(t *testing.T) {
 
 func TestWelfordEdgeValues(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.StdErr() != 0 {
+	if w.Mean() != 0 || w.Variance() != 0 || w.StdDev() != 0 {
 		t.Error("empty accumulator should report zeros")
 	}
 	w.Add(5)
-	if w.Mean() != 5 || w.Variance() != 0 || w.StdErr() != 0 {
+	if w.Mean() != 5 || w.Variance() != 0 || w.StdDev() != 0 {
 		t.Errorf("single sample: mean %v var %v, want 5, 0", w.Mean(), w.Variance())
 	}
 }

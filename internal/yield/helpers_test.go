@@ -26,24 +26,6 @@ func testConfig() Config {
 	}
 }
 
-// Mirror of the eval.Config helper: 0 inherits, positive overrides,
-// negative forces fixed-batch.
-func TestApplyTrialPolicyOverrides(t *testing.T) {
-	cfg := Config{Precision: 0.05, MaxTrials: 500}
-	cfg.ApplyTrialPolicyOverrides(0, 0)
-	if cfg.Precision != 0.05 || cfg.MaxTrials != 500 {
-		t.Errorf("zero overrides should inherit, got %+v", cfg)
-	}
-	cfg.ApplyTrialPolicyOverrides(0.01, 99)
-	if cfg.Precision != 0.01 || cfg.MaxTrials != 99 {
-		t.Errorf("positive overrides should apply, got %+v", cfg)
-	}
-	cfg.ApplyTrialPolicyOverrides(-1, -1)
-	if cfg.Precision != 0 || cfg.MaxTrials != 0 {
-		t.Errorf("negative overrides should force fixed mode, got %+v", cfg)
-	}
-}
-
 func simulate(tb testing.TB, d *topo.Device, cfg Config) Result {
 	tb.Helper()
 	res, err := Simulate(context.Background(), d, cfg)

@@ -160,24 +160,6 @@ func TestSimulateRejectsBadSampling(t *testing.T) {
 	}
 }
 
-// TestResolveSamplingMethod pins the -sampling flag sentinels: ""
-// inherits, "none"/"off" force unlabelled plain counting, anything else selects
-// that method at defaults.
-func TestResolveSamplingMethod(t *testing.T) {
-	scenario := sampling.Spec{Method: sampling.Importance, MinESS: 80}
-	if got := ResolveSamplingMethod(scenario, ""); got != scenario {
-		t.Errorf("empty override should inherit, got %+v", got)
-	}
-	for _, off := range []string{"none", "off"} {
-		if got := ResolveSamplingMethod(scenario, off); !got.IsZero() {
-			t.Errorf("%q should force the zero spec, got %+v", off, got)
-		}
-	}
-	if got := ResolveSamplingMethod(scenario, sampling.Plain); got != (sampling.Spec{Method: sampling.Plain}) {
-		t.Errorf("method override should replace the spec, got %+v", got)
-	}
-}
-
 // constructedStub is a plain estimator that hands trial bad a
 // colliding device (every qubit on one frequency) with a finite weight;
 // the other trials get the collision-free plan targets.

@@ -15,6 +15,14 @@
 // Monte Carlo loops within one in-flight trial per worker and the call
 // returns ctx.Err(). Completed simulations are unaffected by the
 // context, so the determinism contract is unchanged.
+//
+// The trial policy — the adaptive stop (Precision, MaxTrials,
+// RelPrecision) and the estimator (Sampling) — is declared once, as
+// Policy, which Config, eval.Config and scenario.TrialPolicy embed.
+// Per-run changes from CLI flags, campaign overrides and the facade
+// arrive as one PolicyOverride; its Apply owns the sentinels (0
+// inherits, positive replaces, negative resets) and, with
+// Policy.Validate, rejects non-finite numbers and unknown estimators.
 package yield
 
 import (
@@ -51,81 +59,13 @@ type Config struct {
 	// the paper's topo.Catalog.
 	Catalog []topo.ChipletSize
 
-	// Precision switches Simulate into adaptive mode: trials stream in
-	// checkpointed blocks and stop once the 95% Wilson interval on the
-	// yield has half-width <= Precision. 0 keeps the fixed-batch mode,
-	// whose draws are bit-identical to earlier releases.
-	Precision float64
-	// RelPrecision is the adaptive mode's relative target: stop once the
-	// 95% CI half-width <= RelPrecision x the point estimate. It is the
-	// right stopping rule for near-zero yields, where any absolute
-	// target stops long before the event has even been observed; a run
-	// with zero successes can never satisfy it. Either precision target
-	// being met stops the run; 0 disables this one.
-	RelPrecision float64
-	// MaxTrials caps the adaptive mode's budget; <= 0 falls back to
-	// Batch, so adaptive runs never exceed the fixed default's cost.
-	MaxTrials int
-	// Sampling selects the yield estimator (see internal/sampling):
-	// plain counting, or importance sampling with likelihood-ratio
-	// reweighting for deep-low-yield scenarios. The zero spec counts
-	// with the plain estimator but leaves results unlabelled, so they
-	// render as in releases that predate the sampling subsystem.
-	Sampling sampling.Spec
+	// Policy is the trial policy: the adaptive stop and the estimator.
+	Policy
 	// Progress, when non-nil, receives a per-device event at every
 	// checkpoint trial count (and at completion), labelled with the
 	// device name. It may be called concurrently from different
 	// simulations of a sweep and must be safe for concurrent use.
 	Progress func(Event)
-}
-
-// ResolveTrialPolicy applies a per-run override to one adaptive-policy
-// value already seeded from a scenario: 0 inherits the current value, a
-// positive override replaces it, and a negative override forces the
-// zero value (the CLI sentinel for "fixed-batch mode, whatever the
-// scenario says"). It is the single definition of that contract for
-// both this engine's Config and eval.Config.
-func ResolveTrialPolicy[T float64 | int](current, override T) T {
-	switch {
-	case override > 0:
-		return override
-	case override < 0:
-		return 0
-	}
-	return current
-}
-
-// ApplyTrialPolicyOverrides layers per-run adaptive knobs over the
-// scenario trial policy already on the config; see ResolveTrialPolicy
-// for the sentinel semantics.
-func (c *Config) ApplyTrialPolicyOverrides(precision float64, maxTrials int) {
-	c.Precision = ResolveTrialPolicy(c.Precision, precision)
-	c.MaxTrials = ResolveTrialPolicy(c.MaxTrials, maxTrials)
-}
-
-// ResolveSamplingMethod applies a per-run estimator override to a
-// scenario-seeded sampling spec: "" inherits the current spec, "none"
-// forces unlabelled plain counting, and any other value selects that
-// estimator method at its default parameters. It is the single
-// definition of the -sampling flag contract for this engine's Config
-// and eval.Config.
-func ResolveSamplingMethod(current sampling.Spec, method string) sampling.Spec {
-	switch method {
-	case "":
-		return current
-	case "none", "off":
-		return sampling.Spec{}
-	}
-	return sampling.Spec{Method: method}
-}
-
-// ApplySamplingOverrides layers per-run estimator and relative-precision
-// knobs over the scenario trial policy already on the config; method
-// follows ResolveSamplingMethod, relPrecision the ResolveTrialPolicy
-// sentinels.
-func (c *Config) ApplySamplingOverrides(method string, relPrecision float64) {
-	c.Sampling = ResolveSamplingMethod(c.Sampling, method)
-	c.RelPrecision = ResolveTrialPolicy(c.RelPrecision, relPrecision)
 }
 
 // adaptiveMinTrials is the first early-stop checkpoint: small enough

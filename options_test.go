@@ -3,6 +3,7 @@ package chipletqc
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -96,6 +97,17 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := SimulateYield(ctx, Monolithic(20), YieldOptions{Precision: Ptr(-1.0)}); err == nil {
 		t.Error("negative Precision should fail validation")
+	}
+	for _, o := range []YieldOptions{
+		{Precision: Ptr(math.NaN())},
+		{Precision: Ptr(math.Inf(1))},
+		{RelPrecision: Ptr(math.NaN())},
+		{RelPrecision: Ptr(math.Inf(1))},
+		{Sampling: "bogus"},
+	} {
+		if err := o.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil, want an error", o)
+		}
 	}
 	if _, err := FabricateBatch(ctx, 20, 10, BatchOptions{Sigma: Ptr(-1.0)}); err == nil {
 		t.Error("negative batch Sigma should fail validation")

@@ -3,6 +3,7 @@ package chipletqc
 import (
 	"chipletqc/internal/eval"
 	"chipletqc/internal/scenario"
+	"chipletqc/internal/yield"
 )
 
 // Scenario re-exports: a Scenario is a pluggable, registrable device
@@ -36,6 +37,9 @@ type (
 	AssemblyPolicy = scenario.AssemblyPolicy
 	// TrialPolicy is a scenario's default Monte Carlo budget.
 	TrialPolicy = scenario.TrialPolicy
+	// YieldPolicy is the adaptive stop and estimator that TrialPolicy
+	// and ExperimentConfig embed: TrialPolicy{Policy: YieldPolicy{...}}.
+	YieldPolicy = yield.Policy
 )
 
 // Preset scenario names (registered at init, paper-first).
