@@ -291,27 +291,42 @@ func runPerf(ctx context.Context, scn scenario.Scenario, batch, workers int, see
 	return nil
 }
 
-// runPerfCheck measures the hot-path records and compares each ns/op
-// against the committed baseline at path, failing on any fractional
-// regression beyond tol. Records present on only one side are reported
-// but never fail the check, so the benchmark set can evolve without
-// lock-step baseline updates.
+// runPerfCheck measures the hot-path records and compares them with the
+// committed baseline at path (see comparePerf). The baseline is read
+// first, so a missing or malformed one fails before any measurement.
 func runPerfCheck(ctx context.Context, scn scenario.Scenario, batch, workers int, seed int64, path string, tol float64, out io.Writer) error {
-	data, err := os.ReadFile(path)
+	baseline, err := readPerfBaseline(path)
 	if err != nil {
-		return fmt.Errorf("perfcheck baseline: %w", err)
-	}
-	var baseline []perfRecord
-	if err := json.Unmarshal(data, &baseline); err != nil {
-		return fmt.Errorf("perfcheck baseline %s: %w", path, err)
-	}
-	base := map[string]perfRecord{}
-	for _, r := range baseline {
-		base[r.Name] = r
+		return err
 	}
 	records, err := measurePerf(ctx, scn, batch, workers, seed)
 	if err != nil {
 		return err
+	}
+	return comparePerf(records, baseline, path, tol, out)
+}
+
+// readPerfBaseline reads a committed perf record file.
+func readPerfBaseline(path string) ([]perfRecord, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("perfcheck baseline: %w", err)
+	}
+	var baseline []perfRecord
+	if err := json.Unmarshal(data, &baseline); err != nil {
+		return nil, fmt.Errorf("perfcheck baseline %s: %w", path, err)
+	}
+	return baseline, nil
+}
+
+// comparePerf compares each measured ns/op against the baseline read
+// from path, failing on any fractional regression beyond tol. Records
+// present on only one side are reported but never fail the check, so
+// the benchmark set can evolve without lock-step baseline updates.
+func comparePerf(records, baseline []perfRecord, path string, tol float64, out io.Writer) error {
+	base := map[string]perfRecord{}
+	for _, r := range baseline {
+		base[r.Name] = r
 	}
 	tb := report.New(fmt.Sprintf("Perf check vs %s (tolerance %+.0f%%)", path, tol*100),
 		"name", "baseline_ns", "current_ns", "delta", "verdict")

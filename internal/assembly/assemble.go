@@ -122,12 +122,22 @@ type Assembler struct {
 	r         *rand.Rand
 	linkEdges []graph.Edge
 	bin       []*Chiplet // candidates not yet placed or set aside, best first
+	sub       []*Chiplet // the candidate subset, in its current placement
 	freq      []float64  // composition buffer, one entry per global qubit
+	reads     []slot     // the composition entries the checker reads
 	nPer      int        // qubits per chiplet
 }
 
+// slot locates global qubit q as qubit local of the chiplet at
+// placement position pos.
+type slot struct{ q, pos, local int32 }
+
 // NewAssembler prepares the assembly of batch b into modules of the
 // given grid. The grid must tile the batch's own chiplet design.
+//
+// When b's dies were KGD-tested under cfg.Params, the assembler checks
+// only the seam criteria (collision.NewSeamChecker); otherwise it
+// checks every criterion of the module.
 func NewAssembler(b *Batch, grid mcm.Grid, cfg AssembleConfig) (*Assembler, error) {
 	if grid.Spec != b.Spec {
 		return nil, fmt.Errorf("assembly: grid %v tiles %dq chiplets %+v, but the batch holds %dq chiplets %+v",
@@ -137,23 +147,38 @@ func NewAssembler(b *Batch, grid mcm.Grid, cfg AssembleConfig) (*Assembler, erro
 	if err != nil {
 		return nil, err
 	}
+	checker := collision.NewChecker
+	if b.kgd != nil && *b.kgd == cfg.Params {
+		checker = collision.NewSeamChecker
+	}
 	a := &Assembler{
 		grid:    grid,
 		cfg:     cfg,
 		dev:     dev,
-		checker: collision.NewChecker(dev, cfg.Params),
+		checker: checker(dev, cfg.Params),
 		r:       rand.New(rand.NewSource(cfg.Seed)),
 		bin:     b.Free,
+		sub:     make([]*Chiplet, grid.Chips()),
 		freq:    make([]float64, dev.N),
 		nPer:    b.Chip.N,
 	}
+	qs := a.checker.Qubits()
+	a.reads = make([]slot, len(qs))
+	for i, q := range qs {
+		a.reads[i] = slot{int32(q), int32(q / a.nPer), int32(q % a.nPer)}
+	}
+	// The links are the couplings between chips, in edge order.
+	a.linkEdges = make([]graph.Edge, 0, grid.LinksPerAssembly())
 	for _, e := range dev.G.Edges() {
-		if dev.Link[e] {
+		if dev.ChipOf[e.U] != dev.ChipOf[e.V] {
 			a.linkEdges = append(a.linkEdges, e)
 		}
 	}
 	return a, nil
 }
+
+// Device returns the MCM device the assembler stitches modules for.
+func (a *Assembler) Device() *topo.Device { return a.dev }
 
 // Take pulls up to k more modules, best first, or every remaining one
 // when k <= 0; it returns fewer once the bin cannot fill another
@@ -162,67 +187,86 @@ func NewAssembler(b *Batch, grid mcm.Grid, cfg AssembleConfig) (*Assembler, erro
 func (a *Assembler) Take(ctx context.Context, k int) ([]*AssembledMCM, error) {
 	var out []*AssembledMCM
 	for k <= 0 || len(out) < k {
-		m, err := a.next(ctx)
+		ok, err := a.place(ctx)
 		if err != nil {
 			return nil, err
 		}
-		if m == nil {
+		if !ok {
 			break
 		}
-		out = append(out, m)
+		out = append(out, a.module())
 	}
 	return out, nil
 }
 
-// next assembles the next module, or returns nil once fewer free
-// chiplets remain than the grid has positions.
-func (a *Assembler) next(ctx context.Context) (*AssembledMCM, error) {
-	chips, nPer := a.grid.Chips(), a.nPer
+// count drains the assembler like Take(ctx, 0) but keeps no modules: it
+// makes the same placements and link draws and returns how many modules
+// were placed.
+func (a *Assembler) count(ctx context.Context) (int, error) {
+	n := 0
+	for {
+		ok, err := a.place(ctx)
+		if err != nil || !ok {
+			return n, err
+		}
+		for range a.linkEdges {
+			a.cfg.Link.Sample(a.r)
+		}
+		n++
+	}
+}
+
+// place finds the next module: it leaves the placed chiplets in a.sub
+// and returns true, or returns false once fewer free chiplets remain
+// than the grid has positions. Each attempt composes only the qubits
+// the checker reads.
+func (a *Assembler) place(ctx context.Context) (bool, error) {
+	chips := len(a.sub)
 	for len(a.bin) >= chips {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return false, err
 		}
-		subset := append([]*Chiplet(nil), a.bin[:chips]...)
-		placed := false
+		copy(a.sub, a.bin[:chips])
 		for attempt := 0; attempt <= a.cfg.MaxReshuffles; attempt++ {
 			if attempt > 0 {
-				a.r.Shuffle(len(subset), func(i, j int) {
-					subset[i], subset[j] = subset[j], subset[i]
+				a.r.Shuffle(chips, func(i, j int) {
+					a.sub[i], a.sub[j] = a.sub[j], a.sub[i]
 				})
 			}
-			for c, m := range subset {
-				copy(a.freq[c*nPer:(c+1)*nPer], m.Freq)
+			for _, s := range a.reads {
+				a.freq[s.q] = a.sub[s.pos].Freq[s.local]
 			}
 			if a.checker.Free(a.freq) {
-				placed = true
-				break
+				a.bin = a.bin[chips:]
+				return true, nil
 			}
 		}
-		if !placed {
-			// Timeout: release the subset, set its best chiplet aside,
-			// and move on with the next candidates.
-			a.bin = a.bin[1:]
-			continue
-		}
-		m := &AssembledMCM{
-			Grid:       a.grid,
-			Members:    subset,
-			Freq:       append([]float64(nil), a.freq...),
-			LinkErr:    make(map[graph.Edge]float64, len(a.linkEdges)),
-			nCouplings: a.dev.G.M(),
-		}
-		for _, member := range subset {
-			for _, e := range member.EdgeErr {
-				m.chipErrSum += e
-			}
-		}
-		for _, e := range a.linkEdges {
-			m.LinkErr[e] = a.cfg.Link.Sample(a.r)
-		}
-		a.bin = a.bin[chips:]
-		return m, nil
+		// Timeout: release the subset, set its best chiplet aside, and
+		// move on with the next candidates.
+		a.bin = a.bin[1:]
 	}
-	return nil, nil
+	return false, nil
+}
+
+// module builds the module just placed and draws its link errors.
+func (a *Assembler) module() *AssembledMCM {
+	m := &AssembledMCM{
+		Grid:       a.grid,
+		Members:    append([]*Chiplet(nil), a.sub...),
+		Freq:       make([]float64, a.dev.N),
+		LinkErr:    make(map[graph.Edge]float64, len(a.linkEdges)),
+		nCouplings: a.dev.G.M(),
+	}
+	for c, member := range m.Members {
+		copy(m.Freq[c*a.nPer:], member.Freq)
+		for _, e := range member.EdgeErr {
+			m.chipErrSum += e
+		}
+	}
+	for _, e := range a.linkEdges {
+		m.LinkErr[e] = a.cfg.Link.Sample(a.r)
+	}
+	return m
 }
 
 // Assemble builds as many complete, collision-free MCMs as possible from
@@ -237,13 +281,33 @@ func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) 
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	return out, a.stats(b, len(out)), nil
+}
+
+// AssembleStats is Assemble's Stats without its modules: it makes the
+// same placements and draws, so the counts are Assemble's, but builds
+// no AssembledMCM.
+func AssembleStats(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) (Stats, error) {
+	a, err := NewAssembler(b, grid, cfg)
+	if err != nil {
+		return Stats{}, err
+	}
+	n, err := a.count(ctx)
+	if err != nil {
+		return Stats{}, err
+	}
+	return a.stats(b, n), nil
+}
+
+// stats summarises a drain of batch b that assembled n modules.
+func (a *Assembler) stats(b *Batch, n int) Stats {
 	linked := len(a.dev.LinkedQubits())
 	st := Stats{
-		Grid:         grid,
+		Grid:         a.grid,
 		BatchSize:    b.Size,
 		FreeChiplets: len(b.Free),
-		MCMs:         len(out),
-		ChipsUsed:    len(out) * grid.Chips(),
+		MCMs:         n,
+		ChipsUsed:    n * a.grid.Chips(),
 		LinkedQubits: linked,
 		ChipletYield: b.Yield(),
 	}
@@ -251,8 +315,8 @@ func Assemble(ctx context.Context, b *Batch, grid mcm.Grid, cfg AssembleConfig) 
 	if b.Size > 0 {
 		st.AssemblyYield = float64(st.ChipsUsed) / float64(b.Size)
 	}
-	st.PostAssemblyYield = st.AssemblyYield * BondSurvival(linked, cfg.BondFailureScale)
-	return out, st, nil
+	st.PostAssemblyYield = st.AssemblyYield * BondSurvival(linked, a.cfg.BondFailureScale)
+	return st
 }
 
 // ResampleLinks redraws every link error of the module from a new link

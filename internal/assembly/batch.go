@@ -32,6 +32,10 @@ type Batch struct {
 	Chip *topo.Chip
 	Size int        // dies fabricated
 	Free []*Chiplet // collision-free bin, ascending AvgErr
+
+	// kgd holds the Table I params the KGD test screened every die in
+	// Free against; nil for a batch that Fabricate did not build.
+	kgd *collision.Params
 }
 
 // Yield returns the collision-free chiplet yield of the batch.
@@ -73,7 +77,8 @@ func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfi
 	// allocations and stops drawing at its first collision; only KGD
 	// survivors allocate their retained frequency and error vectors.
 	mu := cfg.Fab.Targets(dev)
-	b := &Batch{Spec: spec, Chip: chip, Size: size}
+	params := cfg.Params
+	b := &Batch{Spec: spec, Chip: chip, Size: size, kgd: &params}
 	_, err := runner.StreamPlanned(ctx, size, cfg.Workers, nil, runner.NewScratch(chip.N), nil,
 		func(l runner.Scratch, i int) *Chiplet {
 			r := l.RNG.At(cfg.Seed, i)

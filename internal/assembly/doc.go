@@ -14,7 +14,22 @@
 // create cross-chip collisions are reshuffled up to the assembly
 // policy's budget, and every inter-chip link draws its infidelity from
 // the scenario's link model. Assemble drains an Assembler and reports
-// the run's Stats, including the analytic bump-bond survival.
+// the run's Stats, including the analytic bump-bond survival;
+// AssembleStats reports the same Stats without building the modules.
+//
+// A module's collision check is exact with only its seam criteria when
+// its dies passed KGD under the same Table I params. Every criterion
+// of the module device is either a seam criterion, whose qubits lie on
+// two or more chips, or a criterion of one chip's own device, shifted
+// by that chip's base qubit (the partition TestSeamCheckerPartitionsCriteria
+// pins). A known-good die already passed the latter under those params,
+// and a placement moves its frequencies as a whole, so only the seam
+// criteria can fail. Fabricate records the params on the Batch, and the
+// Assembler compiles collision.NewSeamChecker when they equal
+// AssembleConfig.Params. Otherwise it checks every criterion: a batch
+// screened under another scenario, or a Batch built by hand, which
+// records none. A caller that edits Batch.Free keeps the seam check
+// exact only if every die it adds passed the same KGD test.
 //
 // Both stages are ctx-first and deterministic. Fabricate fans out on
 // internal/runner's worker pool, and a die's draws depend only on

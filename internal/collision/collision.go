@@ -115,6 +115,11 @@ type Checker struct {
 	qEdges   []edgeInfo
 	qTargets []topo.ControlPair // types 5-6, on the two targets
 	qTriple  []topo.ControlPair // type 7
+
+	// SampleFree's safe zones (see safeZones): coupling detunings under
+	// types 1-4, and target separations under types 5-6.
+	zones    [2]zone
+	pairZone zone
 }
 
 // bucketEnd holds one qubit's cumulative end offsets into the Checker's
@@ -123,16 +128,45 @@ type bucketEnd struct{ edges, targets, triples int32 }
 
 // NewChecker compiles a checker for device d under params p.
 func NewChecker(d *topo.Device, p Params) *Checker {
+	return compile(d, p, false)
+}
+
+// NewSeamChecker compiles only the criteria of device d whose qubits
+// lie on more than one chip (d.ChipOf): the inter-chip link couplings
+// and the control/target triples that reach across a link. Every other
+// criterion of d reads the qubits of one chip only. When each chip's
+// frequencies already passed NewChecker on that chip's own device under
+// the same params, as known-good dies have, those criteria hold, so
+// Free on the seam checker is Free on the whole device.
+func NewSeamChecker(d *topo.Device, p Params) *Checker {
+	return compile(d, p, true)
+}
+
+// compile builds the checker for every criterion of d, or with seam set
+// only for the criteria that span chips.
+func compile(d *topo.Device, p Params, seam bool) *Checker {
 	c := &Checker{params: p}
+	c.zones, c.pairZone = safeZones(p)
 	es := d.G.Edges()
-	c.edges = make([]edgeInfo, len(es))
-	for i, e := range es {
-		c.edges[i] = edgeInfo{
-			control: d.ControlOf(e.U, e.V),
-			target:  d.TargetOf(e.U, e.V),
+	c.edges = make([]edgeInfo, 0, len(es))
+	for _, e := range es {
+		if !seam || d.ChipOf[e.U] != d.ChipOf[e.V] {
+			c.edges = append(c.edges, edgeInfo{
+				control: d.ControlOf(e.U, e.V),
+				target:  d.TargetOf(e.U, e.V),
+			})
 		}
 	}
 	c.pairs = d.ControlPairs()
+	if seam {
+		kept := c.pairs[:0]
+		for _, cp := range c.pairs {
+			if chip := d.ChipOf[cp.Control]; d.ChipOf[cp.T1] != chip || d.ChipOf[cp.T2] != chip {
+				kept = append(kept, cp)
+			}
+		}
+		c.pairs = kept
+	}
 
 	// Count each qubit's criteria and turn the counts into bucket start
 	// offsets; filling a bucket then advances its start to its end.
@@ -173,6 +207,25 @@ func (c *Checker) Edges() int { return len(c.edges) }
 
 // Pairs returns the number of compiled control/target-pair triples.
 func (c *Checker) Pairs() int { return len(c.pairs) }
+
+// Qubits returns, ascending, the qubits that the compiled criteria read:
+// Free's outcome depends on these entries of f and on no others.
+func (c *Checker) Qubits() []int {
+	read := make([]bool, len(c.ends))
+	for _, e := range c.edges {
+		read[e.control], read[e.target] = true, true
+	}
+	for _, cp := range c.pairs {
+		read[cp.Control], read[cp.T1], read[cp.T2] = true, true, true
+	}
+	var out []int
+	for q, ok := range read {
+		if ok {
+			out = append(out, q)
+		}
+	}
+	return out
+}
 
 // Free reports whether the frequency assignment f (GHz per qubit) is
 // collision-free, returning at the first violation. NaN or infinite
@@ -227,11 +280,19 @@ func (c *Checker) SampleFree(r *runner.TrialRNG, mu []float64, sigma float64, f 
 	// edgeViolationType and pairViolationType, which are too large to
 	// inline: those calls cost a tenth of the trial.
 	p := &c.params
+	z0, z1, zp := c.zones[0], c.zones[1], c.pairZone
+	// small stays true while every qubit drawn so far is finite and
+	// within fastBound, which is what a fast accept requires.
+	small := true
 	var lo bucketEnd
 	for q, hi := range c.ends {
 		f[q] = r.Normal(mu[q], sigma)
+		small = small && math.Abs(f[q]) <= fastBound
 		for _, e := range c.qEdges[lo.edges:hi.edges] {
 			fi, fj := f[e.control], f[e.target]
+			if d := fj - fi; small && (d >= z0.lo && d <= z0.hi || d >= z1.lo && d <= z1.hi) {
+				continue
+			}
 			if !finite(fi) || !finite(fj) ||
 				type1(fi, fj, p) || type2(fi, fj, p) || type3(fi, fj, p) || type4(fi, fj, p) {
 				return false
@@ -239,12 +300,15 @@ func (c *Checker) SampleFree(r *runner.TrialRNG, mu []float64, sigma float64, f 
 		}
 		for _, cp := range c.qTargets[lo.targets:hi.targets] {
 			fj, fk := f[cp.T1], f[cp.T2]
+			if e := math.Abs(fk - fj); small && e >= zp.lo && e <= zp.hi {
+				continue
+			}
 			if !finite(fj) || !finite(fk) || type5(fj, fk, p) || type6(fj, fk, p) {
 				return false
 			}
 		}
 		// Both targets were checked finite with the pair's types 5-6, at
-		// this qubit or an earlier one.
+		// this qubit or an earlier one (a fast accept implies finite).
 		for _, cp := range c.qTriple[lo.triples:hi.triples] {
 			fi := f[cp.Control]
 			if !finite(fi) || type7(fi, f[cp.T1], f[cp.T2], p) {
@@ -254,6 +318,75 @@ func (c *Checker) SampleFree(r *runner.TrialRNG, mu []float64, sigma float64, f 
 		lo = hi
 	}
 	return true
+}
+
+// zone is a closed interval [lo, hi] of frequency differences.
+type zone struct{ lo, hi float64 }
+
+// Fast-accept tolerances for SampleFree. A coupling or target pair
+// whose frequency difference lies in a safe zone passes its criteria
+// with zoneMargin GHz to spare. Each exact predicate rounds at most
+// three times on values below 2^12 GHz when frequencies and params stay
+// within fastBound GHz, so it errs by less than 1e-12 GHz, far inside
+// the margin: a fast accept never overrules the exact predicates.
+const (
+	zoneMargin = 1e-9
+	fastBound  = 1 << 10
+)
+
+// safeZones returns SampleFree's safe zones, each shrunk by zoneMargin
+// at both ends; an unused zone is empty (lo > hi).
+//
+// The coupling zones hold detunings d = f_target − f_control allowed by
+// types 1-4: the type 4 straddle [a, 0] minus the bands |d| <= T1
+// (type 1), |d − a/2| <= T2 (type 2) and |d ∓ a| <= T3 (type 3). The
+// bands at 0 and a sit on the straddle's ends, so at most two intervals
+// survive.
+//
+// The pair zone holds target separations e = |f_T2 − f_T1| allowed by
+// types 5-6 below the type 6 band: T5 < e < |a| − T6.
+//
+// Params that fail Validate, or exceed fastBound, get no zones, so
+// every criterion takes the exact path.
+func safeZones(p Params) (edge [2]zone, pair zone) {
+	empty := zone{1, 0}
+	edge, pair = [2]zone{empty, empty}, empty
+	if p.Validate() != nil {
+		return edge, pair
+	}
+	a := p.Anharmonicity
+	for _, v := range [...]float64{a, p.T1, p.T2, p.T3, p.T5, p.T6} {
+		if math.Abs(v) > fastBound {
+			return edge, pair
+		}
+	}
+	// Each band splits at most one interval in two, so four bands leave
+	// at most five intervals.
+	var buf [2][5]zone
+	allowed := append(buf[0][:0], zone{a, 0})
+	for i, band := range [...]zone{{-p.T1, p.T1}, {a/2 - p.T2, a/2 + p.T2}, {a - p.T3, a + p.T3}, {-a - p.T3, -a + p.T3}} {
+		next := buf[(i+1)%2][:0]
+		for _, z := range allowed {
+			if band.lo > z.lo {
+				next = append(next, zone{z.lo, min(z.hi, band.lo)})
+			}
+			if band.hi < z.hi {
+				next = append(next, zone{max(z.lo, band.hi), z.hi})
+			}
+		}
+		allowed = next
+	}
+	n := 0
+	for _, z := range allowed {
+		if z = (zone{z.lo + zoneMargin, z.hi - zoneMargin}); z.lo <= z.hi && n < len(edge) {
+			edge[n] = z
+			n++
+		}
+	}
+	if z := (zone{p.T5 + zoneMargin, -a - p.T6 - zoneMargin}); z.lo <= z.hi {
+		pair = z
+	}
+	return edge, pair
 }
 
 // Window confines qubit q's frequency to [f_Ref + Lo, f_Ref + Hi]: the

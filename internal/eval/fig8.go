@@ -124,7 +124,7 @@ func Fig8(ctx context.Context, cfg Config) (Fig8Result, error) {
 		g := grids[gi]
 		b := batches[g.Spec.Qubits()]
 		acfg := cfg.assembleConfig(seedOffFig8Assemble + int64(gi))
-		_, st, err := assembly.Assemble(ctx, b, g, acfg)
+		st, err := assembly.AssembleStats(ctx, b, g, acfg)
 		if err != nil {
 			return Fig8Point{}, err
 		}

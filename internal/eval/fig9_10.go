@@ -227,7 +227,7 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 	if err != nil {
 		return nil, err
 	}
-	mcmDev := mcm.MustBuild(g)
+	mcmDev := asm.Device()
 	chip := topo.BuildChip(g.Spec)
 
 	// Monolithic side: collision-free instances with error maps.

@@ -93,6 +93,9 @@ func (e *funcExperiment) Run(ctx context.Context, cfg eval.Config) (Artifact, er
 	if err := ctx.Err(); err != nil {
 		return Artifact{}, err
 	}
+	if err := cfg.Policy.Validate(); err != nil {
+		return Artifact{}, fmt.Errorf("experiment %s: %w", e.name, err)
+	}
 	start := time.Now()
 	tb, trials, err := e.run(ctx, cfg)
 	if err != nil {

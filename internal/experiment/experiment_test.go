@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -111,6 +112,19 @@ func TestRunHonoursPreCancelledContext(t *testing.T) {
 		if _, err := e.Run(ctx, eval.QuickConfig(1)); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
+	}
+}
+
+// TestRunRejectsInvalidPolicy: a directly built config with a
+// non-finite precision is refused before anything runs, rather than
+// running the fixed batch under a fingerprint of its own.
+func TestRunRejectsInvalidPolicy(t *testing.T) {
+	cfg := eval.QuickConfig(1)
+	cfg.Precision = math.NaN()
+	e, _ := Lookup("fig4")
+	_, err := e.Run(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "experiment fig4") {
+		t.Errorf("fig4 with Precision NaN: err = %v, want an error naming the experiment", err)
 	}
 }
 
