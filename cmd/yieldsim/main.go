@@ -121,7 +121,8 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 			}
 			if *analytic {
 				dev := topo.MonolithicDevice(topo.MonolithicSpec(p.Qubits))
-				plan := topo.FreqPlan{Base: 5.0, Step: c.Step}
+				plan := cfg.Model.Plan
+				plan.Step = c.Step
 				row = append(row, report.F(
 					analyticpkg.DeviceYield(dev, plan, c.Sigma, cfg.Params), 4))
 			}

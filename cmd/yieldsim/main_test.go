@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
+	"chipletqc/internal/analytic"
 	"chipletqc/internal/cli"
+	"chipletqc/internal/report"
 	"chipletqc/internal/scenario"
+	"chipletqc/internal/topo"
 )
 
 // TestRunSweepSmoke is a tiny end-to-end run of the default Fig. 4 sweep
@@ -145,5 +149,38 @@ func TestRunBatchZeroIsScenarioPolicy(t *testing.T) {
 	out.Reset()
 	if err := run(context.Background(), []string{"-batch", "-1"}, &out, &errs); !errors.Is(err, cli.ErrUsage) {
 		t.Errorf("-batch -1: err = %v, want cli.ErrUsage", err)
+	}
+}
+
+// TestRunAnalyticColumn pins -analytic: the sweep gains an analytic
+// column holding analytic.DeviceYield of each row's device under the
+// scenario's thresholds and the row's plan step and sigma.
+func TestRunAnalyticColumn(t *testing.T) {
+	var out, errs strings.Builder
+	err := run(context.Background(), []string{"-analytic", "-csv", "-scenario", scenario.RelaxedThresholdsName,
+		"-batch", "50", "-max", "40", "-sigma", "0.03", "-step", "0.05"}, &out, &errs)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	s := scenario.MustLookup(scenario.RelaxedThresholdsName)
+	sweep, _, _ := strings.Cut(out.String(), "\n\n")
+	lines := strings.Split(sweep, "\n")
+	if lines[0] != "step_GHz,sigma_GHz,qubits,yield,trials,ci_lo,ci_hi,analytic" {
+		t.Fatalf("sweep header %q lacks the analytic column", lines[0])
+	}
+	if len(lines) < 3 {
+		t.Fatalf("sweep has no rows:\n%s", out.String())
+	}
+	for _, line := range lines[1:] {
+		f := strings.Split(line, ",")
+		step, _ := strconv.ParseFloat(f[0], 64)
+		sigma, _ := strconv.ParseFloat(f[1], 64)
+		qubits, _ := strconv.Atoi(f[2])
+		plan := s.Fab.Plan
+		plan.Step = step
+		d := topo.MonolithicDevice(topo.MonolithicSpec(qubits))
+		if want := report.F(analytic.DeviceYield(d, plan, sigma, s.Params), 4); f[7] != want {
+			t.Errorf("row %q: analytic %s, want %s", line, f[7], want)
+		}
 	}
 }

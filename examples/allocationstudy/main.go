@@ -1,5 +1,6 @@
 // Allocationstudy investigates the frequency-allocation design space
-// around the paper's choices using the fast analytic yield model:
+// around the paper's choices using the fast analytic yield model, which
+// reads the same Table I criteria as the Monte Carlo engine:
 //
 //  1. Is the symmetric 0.06 GHz step really optimal, including
 //     asymmetric alternatives? (Paper Section IV-B and its future work.)
@@ -46,8 +47,9 @@ func main() {
 	fmt.Printf("  improvement:         %.4fx\n\n", res.Improvement())
 
 	// 3. Analytic vs Monte Carlo across precisions — both sides under
-	// the same device scenario, so the deviation measures the
-	// independence approximation, not a collision-threshold mismatch.
+	// the same device scenario, so the deviation measures analytic's
+	// one approximation (criterion groups that share qubits are taken
+	// as independent), not a collision-threshold mismatch.
 	plan := chipletqc.AsymmetricFreqPlan(5.0, lo, hi)
 	fmt.Printf("%12s %12s %12s\n", "sigma_GHz", "analytic", "monte_carlo")
 	for _, sigma := range []float64{0.006, 0.010, 0.014, 0.0185} {
@@ -70,6 +72,7 @@ func main() {
 	fmt.Println("  - the symmetric 0.06 GHz spacing survives the asymmetric sweep")
 	fmt.Println("  - annealing cannot meaningfully beat the heavy-hex pattern:")
 	fmt.Println("    the hand allocation is (near-)optimal for three frequencies")
-	fmt.Println("  - the closed-form model tracks Monte Carlo within a few percent,")
-	fmt.Println("    slightly underestimating (independence approximation)")
+	fmt.Println("  - the closed-form model tracks Monte Carlo within a few percent")
+	fmt.Println("    of yield, slightly underestimating: it is exact per qubit pair")
+	fmt.Println("    and treats pairs that share a qubit as independent")
 }

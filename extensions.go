@@ -108,8 +108,9 @@ func CompareRays(mcmDev, mono *Device, cfg RayConfig) (RayResult, RayResult, flo
 // Analytic yield model and frequency-allocation search.
 
 // AnalyticYield estimates a device's collision-free yield in closed
-// form (independence approximation over the Table I criteria) — a fast,
-// slightly conservative stand-in for the Monte Carlo simulation.
+// form: exact for each qubit pair's Table I criteria, and independent
+// across pairs — a fast, slightly conservative stand-in for the Monte
+// Carlo simulation.
 func AnalyticYield(d *Device, plan FreqPlan, sigma float64) float64 {
 	return analytic.DeviceYield(d, plan, sigma, scenario.Paper().Params)
 }

@@ -1,111 +1,86 @@
-// Package analytic provides closed-form estimates of frequency-collision
-// probabilities and collision-free yield under Gaussian fabrication
-// noise. Each Table I criterion is a band (or tail) constraint on a
-// linear combination of independent normal frequencies, so its violation
-// probability is an exact expression in the normal CDF; a device's yield
-// is then approximated by the product over criteria (independence
-// approximation — criteria share qubits, so this is an estimate, but it
+// Package analytic provides a closed-form estimate of collision-free
+// yield under Gaussian fabrication noise. It reads the Table I criteria
+// in the interval form of collision.Checker.Intervals: with the qubits
+// placed before q fixed, q violates a criterion it completes exactly
+// when its frequency lies outside a window or inside a band.
+//
+// The window and bands that share one reference qubit r all constrain
+// the single normal variable f_q − f_r, so their joint free probability
+// is the exact normal mass of the window minus the union of the bands.
+// Each two-reference (type 7) band constrains a variable of its own.
+// The device yield is the product over these groups: independence is
+// assumed only between groups, which share qubits. The estimate is
+// therefore exact for a single coupling and approximate beyond it; it
 // tracks the Monte Carlo simulation closely and runs thousands of times
-// faster, which the frequency-allocation optimiser exploits).
+// faster, which the frequency-allocation optimiser exploits.
 package analytic
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"chipletqc/internal/collision"
 	"chipletqc/internal/topo"
 )
 
-// Phi is the standard normal CDF.
-func Phi(x float64) float64 {
-	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
+// phi is the standard normal CDF.
+func phi(x float64) float64 {
+	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// bandProb returns P(|X - c| <= w) for X ~ N(mu, sigma^2): the
-// probability that X lands in the band [c-w, c+w].
-func bandProb(mu, sigma, c, w float64) float64 {
-	if sigma == 0 {
-		if math.Abs(mu-c) <= w {
-			return 1
+// span is a closed interval [lo, hi].
+type span struct{ lo, hi float64 }
+
+// freeMass returns P(X ∈ win \ ∪bands) for X ~ N(mu, sd²); at sd = 0 it
+// is the indicator of mu in that set. bands must be sorted by lo.
+func freeMass(mu, sd float64, win span, bands []span) float64 {
+	if sd == 0 {
+		if mu < win.lo || mu > win.hi {
+			return 0
 		}
-		return 0
-	}
-	return Phi((c+w-mu)/sigma) - Phi((c-w-mu)/sigma)
-}
-
-// tailBelow returns P(X < c) for X ~ N(mu, sigma^2).
-func tailBelow(mu, sigma, c float64) float64 {
-	if sigma == 0 {
-		if mu < c {
-			return 1
+		for _, b := range bands {
+			if b.lo <= mu && mu <= b.hi {
+				return 0
+			}
 		}
-		return 0
+		return 1
 	}
-	return Phi((c - mu) / sigma)
-}
-
-// EdgeFreeProb returns the probability that a control/target pair with
-// ideal frequencies ti (control) and tj (target), each drawn
-// independently with spread sigma, satisfies all pairwise criteria
-// (Table I types 1-4).
-func EdgeFreeProb(ti, tj, sigma float64, p collision.Params) float64 {
-	a := p.Anharmonicity
-	// Differences of two independent normals: sigma * sqrt(2).
-	sd := sigma * math.Sqrt2
-	mu := ti - tj // distribution of fi - fj
-
-	free := 1.0
-	// Type 1: |fi - fj| <= T1.
-	free *= 1 - bandProb(mu, sd, 0, p.T1)
-	// Type 2: |fi + a/2 - fj| <= T2  ->  band around -a/2 for fi - fj.
-	free *= 1 - bandProb(mu, sd, -a/2, p.T2)
-	// Type 3: band around a or -a.
-	free *= 1 - bandProb(mu, sd, a, p.T3)
-	free *= 1 - bandProb(mu, sd, -a, p.T3)
-	// Type 4: fj < fi + a (fi - fj > -a) or fi < fj (fi - fj < 0).
-	free *= 1 - (tailBelow(-mu, sd, a) + tailBelow(mu, sd, 0))
-	if free < 0 {
-		return 0
+	// mass is P(lo < X < hi), read from the nearer tail so that masses
+	// far above the mean keep their precision.
+	mass := func(lo, hi float64) float64 {
+		a, b := (lo-mu)/sd, (hi-mu)/sd
+		if a > 0 {
+			return phi(-a) - phi(-b)
+		}
+		return phi(b) - phi(a)
 	}
-	return free
-}
-
-// PairFreeProb returns the probability that a control with two targets
-// (ideal frequencies ti; tj, tk) satisfies the spectator criteria
-// (types 5-7).
-func PairFreeProb(ti, tj, tk, sigma float64, p collision.Params) float64 {
-	a := p.Anharmonicity
-	sd2 := sigma * math.Sqrt2
-	muJK := tj - tk
-
-	free := 1.0
-	// Type 5: |fj - fk| <= T5.
-	free *= 1 - bandProb(muJK, sd2, 0, p.T5)
-	// Type 6: |fj - fk - a| <= T6 or |fj + a - fk| <= T6.
-	free *= 1 - bandProb(muJK, sd2, a, p.T6)
-	free *= 1 - bandProb(muJK, sd2, -a, p.T6)
-	// Type 7: |2fi + a - fj - fk| <= T7; variance 4+1+1 = 6 sigma^2.
-	mu7 := 2*ti + a - tj - tk
-	free *= 1 - bandProb(mu7, sigma*math.Sqrt(6), 0, p.T7)
-	if free < 0 {
-		return 0
+	// Sum the gaps the bands leave in the window.
+	free, cur := 0.0, win.lo
+	for _, b := range bands {
+		if cur >= win.hi {
+			return free
+		}
+		if b.lo > cur {
+			free += mass(cur, min(b.lo, win.hi))
+		}
+		cur = max(cur, b.hi)
+	}
+	if cur < win.hi {
+		free += mass(cur, win.hi)
 	}
 	return free
 }
 
 // DeviceYield estimates the collision-free yield of a device under the
-// given frequency plan and fabrication spread: the product of the free
-// probabilities of every coupling and every control pair.
+// given frequency plan and fabrication spread.
 func DeviceYield(d *topo.Device, plan topo.FreqPlan, sigma float64, p collision.Params) float64 {
-	classes := make([]topo.Class, d.N)
-	copy(classes, d.Class)
-	return YieldForClasses(d, classes, plan, sigma, p)
+	return YieldForClasses(d, d.Class, plan, sigma, p)
 }
 
 // YieldForClasses estimates yield for an arbitrary candidate class
 // assignment on the device's coupling graph. Control direction follows
-// the class order (higher class controls; ties break toward the lower
-// qubit id, matching topo.Device.ControlOf).
+// topo.Device.ControlOf under the candidate classes.
 func YieldForClasses(d *topo.Device, classes []topo.Class, plan topo.FreqPlan, sigma float64, p collision.Params) float64 {
 	logY := LogYieldForClasses(d, classes, plan, sigma, p)
 	if math.IsInf(logY, -1) {
@@ -117,49 +92,55 @@ func YieldForClasses(d *topo.Device, classes []topo.Class, plan topo.FreqPlan, s
 // LogYieldForClasses is YieldForClasses in log space, the optimiser's
 // objective (avoids underflow on large devices).
 func LogYieldForClasses(d *topo.Device, classes []topo.Class, plan topo.FreqPlan, sigma float64, p collision.Params) float64 {
-	var logY float64
-	target := func(q int) float64 { return plan.Target(classes[q]) }
-	controlOf := func(u, v int) int {
-		cu, cv := classes[u], classes[v]
-		switch {
-		case cu > cv:
-			return u
-		case cv > cu:
-			return v
-		case u < v:
-			return u
-		default:
-			return v
-		}
+	cd := *d
+	cd.Class = classes
+	checker := collision.NewChecker(&cd, p)
+	mu := make([]float64, d.N)
+	for q, c := range classes {
+		mu[q] = plan.Target(c)
 	}
-	for _, e := range d.G.Edges() {
-		ctrl := controlOf(e.U, e.V)
-		tgt := e.U
-		if ctrl == e.U {
-			tgt = e.V
-		}
-		f := EdgeFreeProb(target(ctrl), target(tgt), sigma, p)
-		if f <= 0 {
-			return math.Inf(-1)
-		}
-		logY += math.Log(f)
-	}
-	// Control pairs under the candidate classes.
+	all := span{math.Inf(-1), math.Inf(1)}
+	var (
+		logY  float64
+		wins  []collision.Window
+		bands []collision.Band
+		refs  []int
+		group []span
+	)
+	add := func(f float64) { logY += math.Log(f) }
 	for q := 0; q < d.N; q++ {
-		var targets []int
-		for _, nb := range d.G.Neighbors(q) {
-			if controlOf(q, nb) == q {
-				targets = append(targets, nb)
-			}
+		wins, bands = checker.Intervals(q, wins[:0], bands[:0])
+		refs = refs[:0]
+		for _, w := range wins {
+			refs = append(refs, w.Ref)
 		}
-		for a := 0; a < len(targets); a++ {
-			for b := a + 1; b < len(targets); b++ {
-				f := PairFreeProb(target(q), target(targets[a]), target(targets[b]), sigma, p)
-				if f <= 0 {
-					return math.Inf(-1)
-				}
-				logY += math.Log(f)
+		for _, b := range bands {
+			if b.B < 0 {
+				refs = append(refs, b.A)
+				continue
 			}
+			// Type 7: f_q − CA·f_A − CB·f_B is a variable of its own.
+			x := mu[q] - b.CA*mu[b.A] - b.CB*mu[b.B]
+			sd := sigma * math.Sqrt(1+b.CA*b.CA+b.CB*b.CB)
+			add(freeMass(x, sd, all, []span{{b.C0 - b.HW, b.C0 + b.HW}}))
+		}
+		slices.Sort(refs)
+		// One group per reference r, on D = f_q − f_r ~ N(μ_q − μ_r, 2σ²).
+		for _, r := range slices.Compact(refs) {
+			win := all
+			group = group[:0]
+			for _, w := range wins {
+				if w.Ref == r {
+					win = span{max(win.lo, w.Lo), min(win.hi, w.Hi)}
+				}
+			}
+			for _, b := range bands {
+				if b.B < 0 && b.A == r {
+					group = append(group, span{b.C0 - b.HW, b.C0 + b.HW})
+				}
+			}
+			slices.SortFunc(group, func(x, y span) int { return cmp.Compare(x.lo, y.lo) })
+			add(freeMass(mu[q]-mu[r], sigma*math.Sqrt2, win, group))
 		}
 	}
 	return logY
