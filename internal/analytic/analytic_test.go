@@ -102,40 +102,67 @@ func TestSingleCouplingExact(t *testing.T) {
 	}
 }
 
-// TestDeviceLevelCases pins analytic yields of small hand-built
-// devices: healthy and colliding couplings and control pairs, and the
-// zero-spread limit, where the yield is an indicator.
-func TestDeviceLevelCases(t *testing.T) {
+// yieldCase bounds the analytic yield of a small hand-built device.
+type yieldCase struct {
+	name   string
+	d      *topo.Device
+	sigma  float64
+	lo, hi float64
+}
+
+func checkYieldCases(t *testing.T, cases []yieldCase) {
+	t.Helper()
 	p := collision.DefaultParams()
-	plan := topo.DefaultFreqPlan
-	// The paper's F2 -> F1 pair (5.12 control, 5.06 target).
-	healthy := handDevice([]topo.Class{topo.F2, topo.F1}, [2]int{0, 1})
-	// Equal targets: a near-certain type 1 collision.
-	equal := handDevice([]topo.Class{topo.F2, topo.F2}, [2]int{0, 1})
-	// An F2 control over distinct F0/F1 targets, and over two F0
-	// targets (a near-certain type 5 collision).
-	star := handDevice([]topo.Class{topo.F2, topo.F0, topo.F1}, [2]int{0, 1}, [2]int{0, 2})
-	sameTargets := handDevice([]topo.Class{topo.F2, topo.F0, topo.F0}, [2]int{0, 1}, [2]int{0, 2})
-	for _, c := range []struct {
-		name   string
-		d      *topo.Device
-		sigma  float64
-		lo, hi float64
-	}{
-		{"healthy pair", healthy, fab.SigmaLaserTuned, 0.95, 1},
-		{"healthy pair at raw sigma", healthy, fab.SigmaAsFabricated, 0, 0.6},
-		{"equal targets", equal, fab.SigmaLaserTuned, 0, 0.6},
-		{"healthy control pair", star, fab.SigmaLaserTuned, 0.95, 1},
-		{"same-class targets", sameTargets, fab.SigmaLaserTuned, 0, 0.6},
-		{"healthy pair at zero sigma", healthy, 0, 1, 1},
-		{"healthy control pair at zero sigma", star, 0, 1, 1},
-		{"equal targets at zero sigma", equal, 0, 0, 0},
-		{"same-class targets at zero sigma", sameTargets, 0, 0, 0},
-	} {
-		if y := DeviceYield(c.d, plan, c.sigma, p); y < c.lo || y > c.hi {
+	for _, c := range cases {
+		if y := DeviceYield(c.d, topo.DefaultFreqPlan, c.sigma, p); y < c.lo || y > c.hi {
 			t.Errorf("%s: yield %v, want in [%v, %v]", c.name, y, c.lo, c.hi)
 		}
 	}
+}
+
+// The paper's F2 -> F1 pair (5.12 control, 5.06 target), and equal
+// targets: a near-certain type 1 collision.
+func healthyPair() *topo.Device { return handDevice([]topo.Class{topo.F2, topo.F1}, [2]int{0, 1}) }
+func equalPair() *topo.Device   { return handDevice([]topo.Class{topo.F2, topo.F2}, [2]int{0, 1}) }
+
+// An F2 control over distinct F0/F1 targets, and over two F0 targets
+// (a near-certain type 5 collision).
+func healthyStar() *topo.Device {
+	return handDevice([]topo.Class{topo.F2, topo.F0, topo.F1}, [2]int{0, 1}, [2]int{0, 2})
+}
+func sameTargetStar() *topo.Device {
+	return handDevice([]topo.Class{topo.F2, topo.F0, topo.F0}, [2]int{0, 1}, [2]int{0, 2})
+}
+
+// TestEdgeFreeProbHealthyPair bounds the free probability of a single
+// coupling: mostly free at laser-tuned spread, poor at raw spread and
+// for equal targets.
+func TestEdgeFreeProbHealthyPair(t *testing.T) {
+	checkYieldCases(t, []yieldCase{
+		{"healthy pair", healthyPair(), fab.SigmaLaserTuned, 0.95, 1},
+		{"healthy pair at raw sigma", healthyPair(), fab.SigmaAsFabricated, 0, 0.6},
+		{"equal targets", equalPair(), fab.SigmaLaserTuned, 0, 0.6},
+	})
+}
+
+// TestPairFreeProb bounds the free probability of a control with two
+// targets: healthy for distinct target classes, poor for equal ones.
+func TestPairFreeProb(t *testing.T) {
+	checkYieldCases(t, []yieldCase{
+		{"healthy control pair", healthyStar(), fab.SigmaLaserTuned, 0.95, 1},
+		{"same-class targets", sameTargetStar(), fab.SigmaLaserTuned, 0, 0.6},
+	})
+}
+
+// TestDeviceLevelCases pins the zero-spread limit of the same devices,
+// where the yield is an indicator.
+func TestDeviceLevelCases(t *testing.T) {
+	checkYieldCases(t, []yieldCase{
+		{"healthy pair at zero sigma", healthyPair(), 0, 1, 1},
+		{"healthy control pair at zero sigma", healthyStar(), 0, 1, 1},
+		{"equal targets at zero sigma", equalPair(), 0, 0, 0},
+		{"same-class targets at zero sigma", sameTargetStar(), 0, 0, 0},
+	})
 }
 
 // TestZeroSigmaIsFreeIndicator: with no fabrication spread every
