@@ -75,7 +75,8 @@ func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfi
 	// and survivors join the bin in die order. Workers reuse one RNG and
 	// frequency buffer across trials, so a discarded die costs zero
 	// allocations and stops drawing at its first collision; only KGD
-	// survivors allocate their retained frequency and error vectors.
+	// survivors allocate: the Chiplet, and one slice holding its
+	// retained frequency and error vectors.
 	mu := cfg.Fab.Targets(dev)
 	params := cfg.Params
 	b := &Batch{Spec: spec, Chip: chip, Size: size, kgd: &params}
@@ -85,8 +86,12 @@ func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfi
 			if !checker.SampleFree(r, mu, cfg.Fab.Sigma, l.Buf) {
 				return nil
 			}
-			f := append([]float64(nil), l.Buf...)
-			errs := make([]float64, len(edges))
+			// One allocation holds both retained vectors, each capped
+			// so neither can append into the other.
+			n := len(l.Buf)
+			vec := make([]float64, n+len(edges))
+			f, errs := vec[:n:n], vec[n:]
+			copy(f, l.Buf)
 			var sum float64
 			for j, e := range edges {
 				errs[j] = cfg.Det.Sample(r.Rand(), f[e.U]-f[e.V])

@@ -3,11 +3,15 @@
 // by shortest-path SWAP routing, producing circuits whose every
 // two-qubit gate acts on a physically coupled pair. Inserted SWAPs are
 // lowered to three CX gates, so compiled gate counts are directly
-// comparable to the paper's Table II.
+// comparable to the paper's Table II. Compile builds the routed
+// circuit; Route walks the same routing and reports only the physical
+// coupling under each two-qubit gate, which is all a fidelity product
+// needs.
 package compiler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"chipletqc/internal/circuit"
@@ -58,36 +62,32 @@ func New(dev *topo.Device, opts Options) *Compiler {
 // Compile for the errors it returns. It only reads the Compiler, so
 // any number of goroutines may call it at once.
 func (cp *Compiler) Compile(c *circuit.Circuit) (*Result, error) {
-	dev := cp.dev
-	if c.NumQubits > dev.N {
-		return nil, fmt.Errorf("compiler: circuit needs %d qubits, device %q has %d",
-			c.NumQubits, dev.Name, dev.N)
+	native, layout, err := cp.prepare(c)
+	if err != nil {
+		return nil, err
 	}
-	native := circuit.Decompose(c)
-	if len(cp.rt.order) < c.NumQubits {
-		return nil, fmt.Errorf("compiler: circuit needs %d qubits, device %q reaches only %d from its center",
-			c.NumQubits, dev.Name, len(cp.rt.order))
-	}
-	layout := make([]int, c.NumQubits)
-	for l := range layout {
-		layout[l] = int(cp.rt.order[l])
-	}
-
-	out := circuit.New(dev.N)
+	out := circuit.New(cp.dev.N)
 	// Every native gate emits one output gate and every SWAP three CX.
 	// On the table path a dry pass counts the SWAPs, so the output is
 	// allocated once at its exact size; under edge costs a dry pass
 	// would double the weighted path searches, so the output grows.
 	size := len(native.Gates)
 	if cp.opts.EdgeCost == nil {
-		_, swaps, err := cp.route(native, layout, nil)
+		swaps, err := cp.route(native, slices.Clone(layout), nil)
 		if err != nil {
 			return nil, err
 		}
 		size += 3 * swaps
 	}
 	out.Gates = make([]circuit.Gate, 0, size)
-	pos, swaps, err := cp.route(native, layout, out)
+	pos := slices.Clone(layout)
+	swaps, err := cp.route(native, pos, func(op circuit.Op, param float64, u, v int) {
+		if v < 0 {
+			out.Add(op, param, u)
+		} else {
+			out.Add(op, param, u, v)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -100,16 +100,63 @@ func (cp *Compiler) Compile(c *circuit.Circuit) (*Result, error) {
 	}, nil
 }
 
-// route walks the native gates from the initial layout, swapping each
-// two-qubit gate's first operand toward its second until their physical
-// qubits couple: along the BFS routing table by default, or along a
-// minimum-cost path under the configured edge costs. It returns the
-// final logical -> physical map and the SWAP count, and emits the
-// routed circuit into out unless out is nil (the dry pass).
-func (cp *Compiler) route(native *circuit.Circuit, layout []int, out *circuit.Circuit) (pos []int, swaps int, err error) {
+// Route walks c's routing exactly as Compile does and calls visit with
+// the physical endpoints (u, v) of every two-qubit gate Compile would
+// emit, in Compile's gate order: the three CX of each SWAP, then the
+// routed gate. It returns Compile's errors and builds no circuit, so a
+// caller that needs only the compiled couplings (a gate count, a
+// fidelity product) pays for one routing pass. Like Compile, it only
+// reads the Compiler.
+func (cp *Compiler) Route(c *circuit.Circuit, visit func(u, v int)) error {
+	native, pos, err := cp.prepare(c)
+	if err != nil {
+		return err
+	}
+	_, err = cp.route(native, pos, func(_ circuit.Op, _ float64, u, v int) {
+		if v >= 0 {
+			visit(u, v)
+		}
+	})
+	return err
+}
+
+// prepare lowers c to the native basis (c itself when already native,
+// as the qbench generators emit) and returns it with the initial
+// layout: logical qubit l on the l-th qubit of the BFS order from the
+// device center.
+func (cp *Compiler) prepare(c *circuit.Circuit) (native *circuit.Circuit, layout []int, err error) {
+	dev := cp.dev
+	if c.NumQubits > dev.N {
+		return nil, nil, fmt.Errorf("compiler: circuit needs %d qubits, device %q has %d",
+			c.NumQubits, dev.Name, dev.N)
+	}
+	if len(cp.rt.order) < c.NumQubits {
+		return nil, nil, fmt.Errorf("compiler: circuit needs %d qubits, device %q reaches only %d from its center",
+			c.NumQubits, dev.Name, len(cp.rt.order))
+	}
+	native = c
+	if !circuit.IsNative(c) {
+		native = circuit.Decompose(c)
+	}
+	layout = make([]int, c.NumQubits)
+	for l := range layout {
+		layout[l] = int(cp.rt.order[l])
+	}
+	return native, layout, nil
+}
+
+// route walks the native gates from the logical -> physical map pos,
+// which it updates in place, swapping each two-qubit gate's first
+// operand toward its second until their physical qubits couple: along
+// the BFS routing table by default, or along a minimum-cost path under
+// the configured edge costs. It passes every routed gate to emit in
+// order (opcode, angle and physical operands, v = -1 for a one-qubit
+// gate), each SWAP as three CX, unless emit is nil (a dry pass), and
+// returns the SWAP count. This is the one routing loop: Compile and
+// Route differ only in emit.
+func (cp *Compiler) route(native *circuit.Circuit, pos []int, emit func(op circuit.Op, param float64, u, v int)) (swaps int, err error) {
 	dev, rt := cp.dev, cp.rt
-	pos = append([]int(nil), layout...) // logical -> physical
-	owner := make([]int, dev.N)         // physical -> logical (-1 free)
+	owner := make([]int, dev.N) // physical -> logical (-1 free)
 	for p := range owner {
 		owner[p] = -1
 	}
@@ -121,8 +168,8 @@ func (cp *Compiler) route(native *circuit.Circuit, layout []int, out *circuit.Ci
 		q := g.Qubits()
 		switch {
 		case g.IsOneQubit():
-			if out != nil {
-				out.Add(g.Op(), g.Param, pos[q[0]])
+			if emit != nil {
+				emit(g.Op(), g.Param, pos[q[0]], -1)
 			}
 		case g.IsTwoQubit():
 			a, b := q[0], q[1]
@@ -135,7 +182,7 @@ func (cp *Compiler) route(native *circuit.Circuit, layout []int, out *circuit.Ci
 						break
 					}
 					if rt.dist[i] < 0 {
-						return nil, 0, fmt.Errorf("compiler: no path between physical %d and %d", u, v)
+						return 0, fmt.Errorf("compiler: no path between physical %d and %d", u, v)
 					}
 					hop = int(rt.next[i])
 				} else {
@@ -144,14 +191,14 @@ func (cp *Compiler) route(native *circuit.Circuit, layout []int, out *circuit.Ci
 					}
 					path, _ := dev.G.ShortestPathWeighted(u, v, cp.opts.EdgeCost)
 					if path == nil {
-						return nil, 0, fmt.Errorf("compiler: no path between physical %d and %d", u, v)
+						return 0, fmt.Errorf("compiler: no path between physical %d and %d", u, v)
 					}
 					hop = path[1]
 				}
-				if out != nil {
-					out.CX(u, hop)
-					out.CX(hop, u)
-					out.CX(u, hop)
+				if emit != nil {
+					emit(circuit.OpCX, 0, u, hop)
+					emit(circuit.OpCX, 0, hop, u)
+					emit(circuit.OpCX, 0, u, hop)
 				}
 				lu, lh := owner[u], owner[hop]
 				owner[u], owner[hop] = lh, lu
@@ -163,15 +210,15 @@ func (cp *Compiler) route(native *circuit.Circuit, layout []int, out *circuit.Ci
 				}
 				swaps++
 			}
-			if out != nil {
-				out.Add(g.Op(), g.Param, pos[a], pos[b])
+			if emit != nil {
+				emit(g.Op(), g.Param, pos[a], pos[b])
 			}
 		default:
-			return nil, 0, fmt.Errorf("compiler: unexpected %d-qubit gate %q after lowering",
+			return 0, fmt.Errorf("compiler: unexpected %d-qubit gate %q after lowering",
 				len(q), g.Op())
 		}
 	}
-	return pos, swaps, nil
+	return swaps, nil
 }
 
 // router holds one device's all-pairs BFS routing tables over an

@@ -3,6 +3,7 @@ package compiler
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -232,6 +233,7 @@ func TestCompilerConcurrentUse(t *testing.T) {
 	width := qbench.UtilizedQubits(dev.N)
 	var circuits []*circuit.Circuit
 	var want []*Result
+	var wantPairs [][]int
 	for _, bs := range qbench.Suite() {
 		c := bs.Generate(width, 7)
 		r, err := cp.Compile(c)
@@ -239,6 +241,7 @@ func TestCompilerConcurrentUse(t *testing.T) {
 			t.Fatalf("%s: %v", bs.Short, err)
 		}
 		circuits, want = append(circuits, c), append(want, r)
+		wantPairs = append(wantPairs, compiledPairs(r))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -248,6 +251,11 @@ func TestCompilerConcurrentUse(t *testing.T) {
 			for i, c := range circuits {
 				if r, err := cp.Compile(c); err != nil || !reflect.DeepEqual(r, want[i]) {
 					t.Errorf("concurrent compile %d differs from serial (err %v)", i, err)
+				}
+				var pairs []int
+				err := cp.Route(c, func(u, v int) { pairs = append(pairs, u, v) })
+				if err != nil || !slices.Equal(pairs, wantPairs[i]) {
+					t.Errorf("concurrent route %d differs from serial compile (err %v)", i, err)
 				}
 			}
 		}()

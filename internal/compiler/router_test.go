@@ -145,6 +145,7 @@ func TestCompileRejectsTooDisconnectedDevice(t *testing.T) {
 	crossing.CX(0, 2) // routes between the duplicated qubits
 	untouched := circuit.New(3)
 	untouched.CX(0, 1) // never touches logical 2
+	cp := New(dev, Options{})
 	for _, c := range []*circuit.Circuit{crossing, untouched} {
 		r, err := Compile(c, dev)
 		if err == nil {
@@ -155,6 +156,11 @@ func TestCompileRejectsTooDisconnectedDevice(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%v: error %q does not mention %s", c.Gates, err, want)
 			}
+		}
+		// Route rejects the circuit with the same error, visiting nothing.
+		visits := 0
+		if rerr := cp.Route(c, func(u, v int) { visits++ }); rerr == nil || rerr.Error() != err.Error() || visits != 0 {
+			t.Errorf("%v: Route error %v after %d visits, want %q and none", c.Gates, rerr, visits, err)
 		}
 	}
 
@@ -167,5 +173,8 @@ func TestCompileRejectsTooDisconnectedDevice(t *testing.T) {
 	}
 	if fmt.Sprint(r.InitialLayout) != "[0 1]" || r.SwapsInserted != 0 {
 		t.Errorf("layout %v with %d swaps, want [0 1] with none", r.InitialLayout, r.SwapsInserted)
+	}
+	if got := routeVisits(t, cp, fits); fmt.Sprint(got) != "[1 0]" {
+		t.Errorf("Route visits %v, want [1 0]", got)
 	}
 }

@@ -3,7 +3,6 @@ package eval
 import (
 	"math"
 
-	"chipletqc/internal/circuit"
 	"chipletqc/internal/compiler"
 	"chipletqc/internal/graph"
 	"chipletqc/internal/noise"
@@ -17,7 +16,14 @@ import (
 // keeps deep circuits representable.
 func LogFidelity(r *compiler.Result, a noise.Assignment) float64 {
 	x := newEdgeIndex(a.Edges())
-	return sumLogs(x.gateEdges(r.Compiled), x.logTable(a))
+	s := newLogSums(x, [][]float64{x.logTable(a)})
+	for _, g := range r.Compiled.Gates {
+		if g.IsTwoQubit() {
+			q := g.Qubits()
+			s.add(int(q[0]), int(q[1]))
+		}
+	}
+	return s.sums[0]
 }
 
 // Fidelity returns the fidelity product itself; prefer LogFidelity for
@@ -27,9 +33,9 @@ func Fidelity(r *compiler.Result, a noise.Assignment) float64 {
 }
 
 // edgeIndex numbers a set of couplings densely, in the order given. It
-// lets the Fig. 10 path resolve each compiled gate's coupling once per
-// compile and each assignment's errors once per assignment, instead of
-// one map lookup and one log per gate per assignment.
+// lets the Fig. 10 path resolve each routed gate's coupling once for
+// all instances and each assignment's errors once per assignment,
+// instead of one map lookup and one log per gate per assignment.
 type edgeIndex struct {
 	edges []graph.Edge
 	// up[u] lists the couplings (u, v) with v > u as (v, id) pairs.
@@ -65,19 +71,6 @@ func (x *edgeIndex) id(u, v int) int32 {
 	return -1
 }
 
-// gateEdges returns the coupling index of every two-qubit gate of c in
-// gate order, -1 for a gate on a coupling outside the index.
-func (x *edgeIndex) gateEdges(c *circuit.Circuit) []int32 {
-	ids := make([]int32, 0, len(c.Gates))
-	for _, g := range c.Gates {
-		if g.IsTwoQubit() {
-			q := g.Qubits()
-			ids = append(ids, x.id(int(q[0]), int(q[1])))
-		}
-	}
-	return ids
-}
-
 // logTable returns ln(1 - e) per indexed coupling under assignment a,
 // -Inf where e >= 1. Each entry is the value the per-gate formula
 // computes for that coupling.
@@ -93,22 +86,40 @@ func (x *edgeIndex) logTable(a noise.Assignment) []float64 {
 	return t
 }
 
-// sumLogs sums the table entries of the gate couplings ids in gate
-// order, stopping at the first -Inf. A coupling outside the index (-1)
-// contributes ln(1 - 0) = -0, which leaves any sum unchanged, so it is
-// skipped. Same values, same order: the result is bit-identical to
-// summing the per-gate formula.
-func sumLogs(ids []int32, table []float64) float64 {
-	var sum float64
-	for _, id := range ids {
-		if id < 0 {
-			continue
-		}
-		l := table[id]
-		if math.IsInf(l, -1) {
-			return l
-		}
-		sum += l
+// logSums accumulates one log fidelity per ln(1 - e) table, coupling
+// by coupling in gate order, so a routing walk can score every
+// instance without building the compiled circuit. Each sum adds its
+// table's entries in order and stops at the first -Inf; a sum reaches
+// -Inf no other way, since every finite entry is at least
+// ln(2^-53). A coupling outside the index contributes ln(1 - 0) = -0,
+// which leaves any sum unchanged, so it is skipped. Same values, same
+// order: each sum is bit-identical to summing the per-gate formula.
+type logSums struct {
+	x      *edgeIndex
+	tables [][]float64
+	sums   []float64
+}
+
+func newLogSums(x *edgeIndex, tables [][]float64) *logSums {
+	return &logSums{x: x, tables: tables, sums: make([]float64, len(tables))}
+}
+
+// add accumulates the gate on coupling (u, v) into every sum.
+func (s *logSums) add(u, v int) {
+	if len(s.tables) == 0 {
+		return
 	}
-	return sum
+	id := s.x.id(u, v)
+	if id < 0 {
+		return
+	}
+	for i, t := range s.tables {
+		switch l := t[id]; {
+		case math.IsInf(s.sums[i], -1):
+		case math.IsInf(l, -1):
+			s.sums[i] = l
+		default:
+			s.sums[i] += l
+		}
+	}
 }

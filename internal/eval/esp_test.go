@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"chipletqc/internal/compiler"
@@ -59,17 +60,29 @@ func TestTableLogFidelityMatchesPerGateFormula(t *testing.T) {
 			"e=1 mid":    withErr(base, mid, 1),
 			"e>1 last":   withErr(base, last, 1.5),
 			"nan then 1": withErr(withErr(base, used[0], math.NaN()), last, 1),
+			"1 then nan": withErr(withErr(base, used[0], 1), last, math.NaN()),
 			"missing":    without(base, used[0], mid, last),
 			"empty":      {Err: map[graph.Edge]float64{}},
 		}
-		for name, a := range cases {
+		// The Fig. 10 path: one routing walk accumulates every case's
+		// sum over its device table at once.
+		names := slices.Sorted(maps.Keys(cases))
+		var tables [][]float64
+		for _, name := range names {
+			tables = append(tables, devIdx.logTable(cases[name]))
+		}
+		walk := newLogSums(devIdx, tables)
+		if err := comp.Route(bs.Generate(width, 9), walk.add); err != nil {
+			t.Fatalf("%s: %v", bs.Short, err)
+		}
+		for k, name := range names {
+			a := cases[name]
 			want := math.Float64bits(perGateLogFidelity(res, a))
 			if got := math.Float64bits(LogFidelity(res, a)); got != want {
 				t.Errorf("%s %s: LogFidelity bits %x, per-gate formula %x", bs.Short, name, got, want)
 			}
-			ids := devIdx.gateEdges(res.Compiled)
-			if got := math.Float64bits(sumLogs(ids, devIdx.logTable(a))); got != want {
-				t.Errorf("%s %s: device-table bits %x, per-gate formula %x", bs.Short, name, got, want)
+			if got := math.Float64bits(walk.sums[k]); got != want {
+				t.Errorf("%s %s: route-walk bits %x, per-gate formula %x", bs.Short, name, got, want)
 			}
 		}
 		if got := LogFidelity(res, cases["e=1 mid"]); !math.IsInf(got, -1) {
@@ -86,10 +99,12 @@ func TestSumLogsSkipsUnindexedCouplings(t *testing.T) {
 	if id := x.id(9, 1); id != -1 {
 		t.Fatalf("id of an out-of-range vertex = %d, want -1", id)
 	}
-	table := []float64{-0.5, -0.25}
-	got := sumLogs([]int32{x.id(1, 0), -1, x.id(2, 1)}, table)
-	if want := -0.75; got != want {
-		t.Errorf("sumLogs = %v, want %v", got, want)
+	s := newLogSums(x, [][]float64{{-0.5, -0.25}})
+	s.add(1, 0)
+	s.add(2, 3)
+	s.add(2, 1)
+	if got, want := s.sums[0], -0.75; got != want {
+		t.Errorf("sum = %v, want %v", got, want)
 	}
 }
 

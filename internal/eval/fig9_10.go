@@ -264,52 +264,44 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 		}
 	}
 
-	// The benchmarks fan out over the workers: each compiles through
-	// the read-only Compilers and tables above, and Map returns the
+	// The benchmarks fan out over the workers: each routes through the
+	// read-only Compilers and tables above, scoring every instance as
+	// the walk visits each compiled two-qubit gate, and Map returns the
 	// points in suite order with the lowest-index error.
 	width := qbench.UtilizedQubits(g.Qubits())
 	suite := qbench.Suite()
 	return runner.Map(ctx, len(suite), cfg.Workers, func(i int) (Fig10Point, error) {
 		bs := suite[i]
 		circ := bs.Generate(width, cfg.Seed+seedOffFig10Circuits)
-		mcmRes, err := mcmComp.Compile(circ)
-		if err != nil {
-			return Fig10Point{}, fmt.Errorf("fig10 %v %s (mcm): %w", g, bs.Short, err)
-		}
 		p := Fig10Point{
 			Grid:   g,
 			Qubits: g.Qubits(),
 			Bench:  bs.Short,
-			TwoQ:   mcmRes.Counts.TwoQ,
 			Square: g.Rows == g.Cols,
+		}
+		mcmSums := newLogSums(mcmIdx, mcmTables)
+		if err := mcmComp.Route(circ, func(u, v int) {
+			p.TwoQ++
+			mcmSums.add(u, v)
+		}); err != nil {
+			return Fig10Point{}, fmt.Errorf("fig10 %v %s (mcm): %w", g, bs.Short, err)
 		}
 		if len(monoAssignments) == 0 {
 			p.MonoZero = true
 			p.LogRatio = math.Inf(1)
 			return p, nil
 		}
-		monoRes, err := monoComp.Compile(circ)
-		if err != nil {
+		monoSums := newLogSums(monoIdx, monoTables)
+		if err := monoComp.Route(circ, monoSums.add); err != nil {
 			return Fig10Point{}, fmt.Errorf("fig10 %v %s (mono): %w", g, bs.Short, err)
 		}
 		if len(mods) == 0 {
 			p.LogRatio = math.NaN()
 		} else {
-			p.LogRatio = meanLog(mcmIdx, mcmRes, mcmTables) - meanLog(monoIdx, monoRes, monoTables)
+			p.LogRatio = stats.Mean(mcmSums.sums) - stats.Mean(monoSums.sums)
 		}
 		return p, nil
 	})
-}
-
-// meanLog returns the mean log fidelity of one compiled circuit over
-// the instances whose ln(1 - e) tables are given.
-func meanLog(x *edgeIndex, r *compiler.Result, tables [][]float64) float64 {
-	ids := x.gateEdges(r.Compiled)
-	logs := make([]float64, len(tables))
-	for i, t := range tables {
-		logs[i] = sumLogs(ids, t)
-	}
-	return stats.Mean(logs)
 }
 
 // monoInstances fabricates monolithic devices until `want` collision-free
