@@ -124,6 +124,12 @@ func TestFacadeAssemblyPipeline(t *testing.T) {
 	}
 }
 
+func TestFacadeFabricateNegativeSize(t *testing.T) {
+	if b, err := FabricateBatch(context.Background(), 20, -5, BatchOptions{}); err == nil {
+		t.Errorf("FabricateBatch(size -5) = %+v, nil; want an error", b)
+	}
+}
+
 func TestFacadeCompileAndFidelity(t *testing.T) {
 	dev, err := MCM(2, 2, 20)
 	if err != nil {

@@ -3,6 +3,7 @@ package assembly
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"slices"
 
@@ -58,40 +59,79 @@ type BatchConfig struct {
 	Workers int
 }
 
-// Fabricate runs a batch of `size` chiplets of the given spec: sample
-// frequencies, discard collision-free failures, characterise survivors
-// (per-coupling error sampled from the empirical detuning model), and
-// sort the bin best-first. This is the KGD pipeline of Section V-B/VII-B.
-// Cancelling ctx aborts fabrication within one in-flight die per worker
-// and returns ctx.Err().
+// Fabricate runs a batch of `size` chiplets of the given spec through
+// the KGD pipeline of Section V-B/VII-B (see Survivors) and sorts the
+// collision-free bin best-first. Cancelling ctx aborts fabrication
+// within one in-flight die per worker and returns ctx.Err().
 func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfig) (*Batch, error) {
 	chip := topo.BuildChip(spec)
-	dev := topo.MonolithicDevice(spec)
+	free, err := Survivors(ctx, chip, size, 0, cfg, newChiplet)
+	if err != nil {
+		return nil, err
+	}
+	// Free is in ascending ID order, so ordering ties by ID is the
+	// stable sort by AvgErr, without reflection.
+	slices.SortFunc(free, func(x, y *Chiplet) int {
+		if c := cmp.Compare(x.AvgErr, y.AvgErr); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.ID, y.ID)
+	})
+	params := cfg.Params
+	return &Batch{Spec: spec, Chip: chip, Size: size, Free: free, kgd: &params}, nil
+}
+
+// newChiplet is Fabricate's keep: it retains a survivor's vectors in
+// one allocation, each capped so neither can append into the other.
+func newChiplet(id int, freq, errs []float64, avg float64) *Chiplet {
+	n := len(freq)
+	vec := make([]float64, n+len(errs))
+	copy(vec, freq)
+	copy(vec[n:], errs)
+	return &Chiplet{ID: id, Freq: vec[:n:n], EdgeErr: vec[n:], AvgErr: avg}
+}
+
+// Survivors runs the KGD die trial on a batch of `size` dies of chip
+// and returns, in die order, what keep retains of each survivor. Each
+// die samples its frequencies, is discarded at its first Table I
+// collision, and otherwise gets one error per coupling from the
+// detuning model, in chip.G.Edges() order. keep sees the die's index,
+// frequencies, errors and their mean in worker scratch that the next
+// die overwrites, so it copies what it retains. With want > 0 only the
+// first `want` survivors are kept, and the batch stops at the first
+// checkpoint of a worker-sized grid that has found them all; with
+// want <= 0 every die runs. Each die derives its RNG stream from
+// (Seed, die index), so the survivors are identical at any worker
+// count. A negative size is an error. Cancelling ctx aborts within one
+// in-flight die per worker and returns ctx.Err().
+func Survivors[T any](ctx context.Context, chip *topo.Chip, size, want int, cfg BatchConfig,
+	keep func(id int, freq, errs []float64, avg float64) T) ([]T, error) {
+	if size < 0 {
+		return nil, fmt.Errorf("assembly: negative batch size %d", size)
+	}
+	dev := chip.Device()
 	checker := collision.NewChecker(dev, cfg.Params)
 	edges := chip.G.Edges()
-
-	// Dies fabricate concurrently, each on its own (Seed, index)-derived
-	// RNG stream; nil marks the collision failures KGD testing discards,
-	// and survivors join the bin in die order. Workers reuse one RNG and
-	// frequency buffer across trials, so a discarded die costs zero
-	// allocations and stops drawing at its first collision; only KGD
-	// survivors allocate: the Chiplet, and one slice holding its
-	// retained frequency and error vectors.
 	mu := cfg.Fab.Targets(dev)
-	params := cfg.Params
-	b := &Batch{Spec: spec, Chip: chip, Size: size, kgd: &params}
-	_, err := runner.StreamPlanned(ctx, size, cfg.Workers, nil, runner.NewScratch(chip.N), nil,
-		func(l runner.Scratch, i int) *Chiplet {
+	var checkpoints []int
+	if want > 0 {
+		chunk := runner.Workers(cfg.Workers, size) * 32
+		for cp := chunk; cp < size; cp += chunk {
+			checkpoints = append(checkpoints, cp)
+		}
+	}
+
+	// Workers reuse one RNG and one buffer for a die's frequencies and
+	// errors, so a discarded die costs zero allocations and stops
+	// drawing at its first collision; only keep allocates.
+	var out []T
+	_, err := runner.StreamPlanned(ctx, size, cfg.Workers, checkpoints, runner.NewScratch(chip.N+len(edges)), nil,
+		func(l runner.Scratch, i int) survivor[T] {
 			r := l.RNG.At(cfg.Seed, i)
-			if !checker.SampleFree(r, mu, cfg.Fab.Sigma, l.Buf) {
-				return nil
+			f, errs := l.Buf[:chip.N], l.Buf[chip.N:]
+			if !checker.SampleFree(r, mu, cfg.Fab.Sigma, f) {
+				return survivor[T]{}
 			}
-			// One allocation holds both retained vectors, each capped
-			// so neither can append into the other.
-			n := len(l.Buf)
-			vec := make([]float64, n+len(edges))
-			f, errs := vec[:n:n], vec[n:]
-			copy(f, l.Buf)
 			var sum float64
 			for j, e := range edges {
 				errs[j] = cfg.Det.Sample(r.Rand(), f[e.U]-f[e.V])
@@ -101,26 +141,25 @@ func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfi
 			if len(edges) > 0 {
 				avg = sum / float64(len(edges))
 			}
-			return &Chiplet{ID: i, Freq: f, EdgeErr: errs, AvgErr: avg}
+			return survivor[T]{keep(i, f, errs, avg), true}
 		},
-		func(_ int, c *Chiplet) {
-			if c != nil {
-				b.Free = append(b.Free, c)
+		func(_ int, s survivor[T]) {
+			if s.ok && (want <= 0 || len(out) < want) {
+				out = append(out, s.v)
 			}
 		},
-		func(int) bool { return false })
+		func(int) bool { return want > 0 && len(out) == want })
 	if err != nil {
 		return nil, err
 	}
-	// Free is in ascending ID order, so ordering ties by ID is the
-	// stable sort by AvgErr, without reflection.
-	slices.SortFunc(b.Free, func(x, y *Chiplet) int {
-		if c := cmp.Compare(x.AvgErr, y.AvgErr); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.ID, y.ID)
-	})
-	return b, nil
+	return out, nil
+}
+
+// survivor is one die's outcome in Survivors: ok marks a KGD survivor
+// and v is what keep retained of it.
+type survivor[T any] struct {
+	v  T
+	ok bool
 }
 
 // Bump-bond assembly constants (Section VII-B): the per-bump success

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"chipletqc/internal/assembly"
-	"chipletqc/internal/collision"
 	"chipletqc/internal/noise"
 	"chipletqc/internal/runner"
 	"chipletqc/internal/scenario"
@@ -198,43 +197,13 @@ func (c *Config) yieldConfig(batch int, seed int64) yield.Config {
 	return ycfg
 }
 
-// monoPopulation fabricates a monolithic batch and returns the
-// collision-free devices' per-device mean two-qubit infidelity (E_avg)
-// samples, plus the collision-free yield. Trials run concurrently, each
-// on its own (seed, index)-derived RNG stream, and samples are observed
-// in trial order, so the population is identical at any worker count.
+// monoPopulation runs the KGD die trial on a monolithic batch and
+// returns the survivors' per-device mean two-qubit infidelity (E_avg),
+// in die order, plus the collision-free yield. Die order keeps every
+// mean over the population bit-identical at any worker count.
 func (c *Config) monoPopulation(ctx context.Context, spec topo.ChipSpec, batch int, seedOffset int64) (eavgs []float64, yld float64, err error) {
-	scn := c.scn()
-	dev := topo.MonolithicDevice(spec)
-	checker := collision.NewChecker(dev, scn.Params)
-	det := c.det()
-	edges := dev.G.Edges()
-	campaign := c.Seed + seedOffset
-	mu := scn.Fab.Targets(dev)
-	_, err = runner.StreamPlanned(ctx, batch, c.Workers, nil,
-		runner.NewScratch(dev.N), nil,
-		func(l runner.Scratch, i int) float64 {
-			r := l.RNG.At(campaign, i)
-			f := l.Buf
-			if !checker.SampleFree(r, mu, scn.Fab.Sigma, f) {
-				return math.NaN() // collision: discarded by KGD testing
-			}
-			// E_avg for this device: mean sampled error over all couplings.
-			var sum float64
-			for _, e := range edges {
-				sum += det.Sample(r.Rand(), f[e.U]-f[e.V])
-			}
-			if len(edges) == 0 {
-				return 0
-			}
-			return sum / float64(len(edges))
-		},
-		func(_ int, s float64) {
-			if !math.IsNaN(s) {
-				eavgs = append(eavgs, s)
-			}
-		},
-		func(int) bool { return false })
+	eavgs, err = assembly.Survivors(ctx, topo.BuildChip(spec), batch, 0, c.batchConfig(seedOffset),
+		func(_ int, _, _ []float64, avg float64) float64 { return avg })
 	if err != nil {
 		return nil, 0, err
 	}

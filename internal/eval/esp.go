@@ -71,19 +71,32 @@ func (x *edgeIndex) id(u, v int) int32 {
 	return -1
 }
 
-// logTable returns ln(1 - e) per indexed coupling under assignment a,
-// -Inf where e >= 1. Each entry is the value the per-gate formula
-// computes for that coupling.
+// logTable returns ln(1 - e) per indexed coupling under assignment a.
 func (x *edgeIndex) logTable(a noise.Assignment) []float64 {
 	t := make([]float64, len(x.edges))
 	for i, e := range x.edges {
-		if err := a.Err[e]; err >= 1 {
-			t[i] = math.Inf(-1)
-		} else {
-			t[i] = math.Log1p(-err)
-		}
+		t[i] = logSuccess(a.Err[e])
 	}
 	return t
+}
+
+// logTableOf returns ln(1 - e) per coupling for errors already aligned
+// with an edgeIndex's order.
+func logTableOf(errs []float64) []float64 {
+	t := make([]float64, len(errs))
+	for i, e := range errs {
+		t[i] = logSuccess(e)
+	}
+	return t
+}
+
+// logSuccess returns ln(1 - e), -Inf where e >= 1: the value the
+// per-gate formula computes for a coupling with error e.
+func logSuccess(e float64) float64 {
+	if e >= 1 {
+		return math.Inf(-1)
+	}
+	return math.Log1p(-e)
 }
 
 // logSums accumulates one log fidelity per ln(1 - e) table, coupling

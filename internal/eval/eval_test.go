@@ -314,16 +314,31 @@ func TestFig10SmallScale(t *testing.T) {
 }
 
 func TestMonoInstancesZeroYield(t *testing.T) {
-	// A 500q monolithic device at laser-tuned precision yields nothing.
-	cfg := QuickConfig(11)
-	cfg.MonoBatch = 50
-	dev := topo.MonolithicDevice(topo.MonolithicSpec(500))
-	got, err := monoInstances(context.Background(), cfg, dev, 3, 1, cfg.det())
+	// The 500q monolithic counterpart of a 5x5 grid of 20q chiplets
+	// yields nothing at laser-tuned precision, so the Fig. 10 mono side
+	// finds no instances and every point is mono-zero.
+	spec, err := topo.SpecForQubits(20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 {
-		t.Errorf("expected zero instances for 500q, got %d", len(got))
+	g := mcm.Grid{Rows: 5, Cols: 5, Spec: spec}
+	if q := g.MonolithicCounterpart().Qubits(); q != 500 {
+		t.Fatalf("counterpart has %d qubits, want 500", q)
+	}
+	cfg := QuickConfig(11)
+	cfg.MonoBatch = 50
+	cfg.ChipletBatch = 20
+	pts, err := fig10System(context.Background(), cfg, g, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) == 0 {
+		t.Fatal("no points")
+	}
+	for _, p := range pts {
+		if !p.MonoZero || !math.IsInf(p.LogRatio, 1) {
+			t.Errorf("%s: MonoZero = %v, LogRatio = %v; want true, +Inf", p.Bench, p.MonoZero, p.LogRatio)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"chipletqc/internal/assembly"
-	"chipletqc/internal/collision"
 	"chipletqc/internal/compiler"
 	"chipletqc/internal/mcm"
 	"chipletqc/internal/noise"
@@ -181,7 +180,7 @@ func Fig10(ctx context.Context, cfg Config, grids []mcm.Grid, samples int) ([]Fi
 	if samples < 1 {
 		samples = 3
 	}
-	det := cfg.det() // resolved before fanning out
+	cfg.det() // resolve the shared detuning model before fanning out
 	// The worker budget splits between the system fan-out and the nested
 	// fabrication/Monte Carlo inside each system.
 	outer, inner := runner.Split(cfg.Workers, len(grids))
@@ -190,7 +189,7 @@ func Fig10(ctx context.Context, cfg Config, grids []mcm.Grid, samples int) ([]Fi
 	var gridsDone atomic.Int64
 	perGrid, err := runner.Map(ctx, len(grids), outer, func(gi int) ([]Fig10Point, error) {
 		g := grids[gi]
-		pts, err := fig10System(ctx, icfg, g, gi, samples, det)
+		pts, err := fig10System(ctx, icfg, g, gi, samples)
 		if err == nil {
 			cfg.progress("fig10", int(gridsDone.Add(1)), len(grids))
 		}
@@ -208,7 +207,7 @@ func Fig10(ctx context.Context, cfg Config, grids []mcm.Grid, samples int) ([]Fi
 
 // fig10System evaluates the benchmark suite on one MCM system against
 // its monolithic counterpart.
-func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, det *noise.DetuningModel) ([]Fig10Point, error) {
+func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int) ([]Fig10Point, error) {
 	// MCM side: pull the best `samples` modules from a wafer-area-scaled
 	// batch (equal-count selection, matching the Fig. 9 comparison
 	// semantics); the rest of the bin is never assembled.
@@ -228,11 +227,13 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 		return nil, err
 	}
 	mcmDev := asm.Device()
-	chip := topo.BuildChip(g.Spec)
 
-	// Monolithic side: collision-free instances with error maps.
-	monoDev := topo.MonolithicDevice(g.MonolithicCounterpart())
-	monoAssignments, err := monoInstances(ctx, cfg, monoDev, samples, seedOffFig10Mono+int64(gi), det)
+	// Monolithic side: the ln(1 - e) tables of the first `samples` KGD
+	// survivors of the monolithic batch, in monoDev.G.Edges() order.
+	monoChip := topo.BuildChip(g.MonolithicCounterpart())
+	monoDev := monoChip.Device()
+	monoTables, err := assembly.Survivors(ctx, monoChip, cfg.MonoBatch, samples, cfg.batchConfig(seedOffFig10Mono+int64(gi)),
+		func(_ int, _, errs []float64, _ float64) []float64 { return logTableOf(errs) })
 	if err != nil {
 		return nil, err
 	}
@@ -251,17 +252,14 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 	mcmComp := compiler.New(mcmDev, mcmOpts)
 	var monoComp *compiler.Compiler
 	var mcmIdx, monoIdx *edgeIndex
-	var mcmTables, monoTables [][]float64
-	if len(monoAssignments) > 0 {
+	var mcmTables [][]float64
+	if len(monoTables) > 0 {
 		monoComp = compiler.New(monoDev, compiler.Options{})
 		mcmIdx = newEdgeIndex(mcmDev.G.Edges())
 		for _, m := range mods {
-			mcmTables = append(mcmTables, mcmIdx.logTable(m.Errors(mcmDev, chip)))
+			mcmTables = append(mcmTables, mcmIdx.logTable(m.Errors(mcmDev, b.Chip)))
 		}
 		monoIdx = newEdgeIndex(monoDev.G.Edges())
-		for _, a := range monoAssignments {
-			monoTables = append(monoTables, monoIdx.logTable(a))
-		}
 	}
 
 	// The benchmarks fan out over the workers: each routes through the
@@ -286,7 +284,7 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 		}); err != nil {
 			return Fig10Point{}, fmt.Errorf("fig10 %v %s (mcm): %w", g, bs.Short, err)
 		}
-		if len(monoAssignments) == 0 {
+		if len(monoTables) == 0 {
 			p.MonoZero = true
 			p.LogRatio = math.Inf(1)
 			return p, nil
@@ -302,51 +300,4 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int, d
 		}
 		return p, nil
 	})
-}
-
-// monoInstances fabricates monolithic devices until `want` collision-free
-// instances are found (or the batch budget is exhausted) and returns
-// their full per-coupling error assignments.
-//
-// Trials stream in worker-sized blocks on a linear checkpoint grid, each
-// on its own (seed, index)-derived RNG stream; selection keeps the first
-// `want` collision-free trial indices, so the instances are identical at
-// any worker count while the scan still stops early once enough
-// survivors are found.
-func monoInstances(ctx context.Context, cfg Config, dev *topo.Device, want int, seedOffset int64, det *noise.DetuningModel) ([]noise.Assignment, error) {
-	if want <= 0 || cfg.MonoBatch <= 0 {
-		return nil, ctx.Err()
-	}
-	scn := cfg.scn()
-	checker := collision.NewChecker(dev, scn.Params)
-	link := scn.Link
-	campaign := cfg.Seed + seedOffset
-	mu := scn.Fab.Targets(dev)
-	chunk := runner.Workers(cfg.Workers, cfg.MonoBatch) * 32
-	var checkpoints []int
-	for cp := chunk; cp < cfg.MonoBatch; cp += chunk {
-		checkpoints = append(checkpoints, cp)
-	}
-
-	var out []noise.Assignment
-	_, err := runner.StreamPlanned(ctx, cfg.MonoBatch, cfg.Workers, checkpoints,
-		runner.NewScratch(dev.N), nil,
-		func(l runner.Scratch, i int) *noise.Assignment {
-			r := l.RNG.At(campaign, i)
-			if !checker.SampleFree(r, mu, scn.Fab.Sigma, l.Buf) {
-				return nil
-			}
-			a := noise.Assign(r.Rand(), dev, l.Buf, det, link)
-			return &a
-		},
-		func(_ int, a *noise.Assignment) {
-			if a != nil && len(out) < want {
-				out = append(out, *a)
-			}
-		},
-		func(int) bool { return len(out) == want })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -35,8 +35,9 @@ func TestFig8WorkerCountInvariance(t *testing.T) {
 }
 
 // TestFig9WorkerCountInvariance covers the grid-level fan-out plus the
-// parallel monoPopulation underneath it. NaN-valued cells (zero
-// monolithic yield) compare by position rather than value.
+// parallel die trial (assembly.Survivors) of the monolithic population
+// underneath it. NaN-valued cells (zero monolithic yield) compare by
+// position rather than value.
 func TestFig9WorkerCountInvariance(t *testing.T) {
 	serial := runFig9(t, tinyConfig(12, 1))
 	parallel := runFig9(t, tinyConfig(12, 8))
@@ -62,8 +63,9 @@ func TestFig9WorkerCountInvariance(t *testing.T) {
 }
 
 // TestFig10WorkerCountInvariance covers the Map fan-outs and the
-// checkpointed monoInstances scan. The one-grid case hands fig10System the
-// whole worker budget, so its benchmark fan-out runs in parallel.
+// checkpointed die trial (assembly.Survivors) of the monolithic side.
+// The one-grid case hands fig10System the whole worker budget, so its
+// benchmark fan-out runs in parallel.
 func TestFig10WorkerCountInvariance(t *testing.T) {
 	spec, err := topo.SpecForQubits(10)
 	if err != nil {

@@ -31,12 +31,13 @@ type Device struct {
 	Link map[graph.Edge]bool
 }
 
-// MonolithicDevice builds a single-chip device from spec. The device
-// adopts the freshly built chip's slices and graph: the chip is local and
-// discarded, so nothing else aliases them, and the device keeps the
-// chip's adjacency order.
-func MonolithicDevice(spec ChipSpec) *Device {
-	c := BuildChip(spec)
+// MonolithicDevice builds a single-chip device from spec.
+func MonolithicDevice(spec ChipSpec) *Device { return BuildChip(spec).Device() }
+
+// Device returns the single-chip device of c. The device adopts c's
+// slices and graph, so it keeps the chip's adjacency order; neither is
+// mutated after construction, so sharing them is safe.
+func (c *Chip) Device() *Device {
 	return &Device{
 		Name:     fmt.Sprintf("mono-%d", c.N),
 		N:        c.N,
