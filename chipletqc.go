@@ -445,7 +445,7 @@ func DefaultLinkModel() LinkModel { return scenario.Paper().Link }
 // SampleFrequencies, draws come from the runner's SplitMix64 stream for
 // seed (one-time draw change from v0, statistically equivalent).
 func AssignErrors(seed int64, d *Device, f []float64, det *DetuningModel) ErrorAssignment {
-	return noise.Assign(runner.Rand(seed, 0), d, f, det, scenario.Paper().Link)
+	return noise.Assign(runner.NewTrialRNG().At(seed, 0), d, f, det, scenario.Paper().Link)
 }
 
 // Benchmarks returns the paper's seven-benchmark suite in Table II

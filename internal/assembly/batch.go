@@ -1,7 +1,6 @@
 package assembly
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -27,7 +26,10 @@ type Chiplet struct {
 
 // Batch is a fabrication run of identical chiplets: only the collision-
 // free dies are retained (KGD testing discards the rest), sorted best
-// first by average two-qubit error.
+// first by average two-qubit error. Fabricate stores the bin's chiplets
+// and vectors in chunks that many dies share, so a Chiplet's Freq and
+// EdgeErr are capacity-capped: an append reallocates rather than
+// writing into another die.
 type Batch struct {
 	Spec topo.ChipSpec
 	Chip *topo.Chip
@@ -60,52 +62,143 @@ type BatchConfig struct {
 }
 
 // Fabricate runs a batch of `size` chiplets of the given spec through
-// the KGD pipeline of Section V-B/VII-B (see Survivors) and sorts the
-// collision-free bin best-first. Cancelling ctx aborts fabrication
-// within one in-flight die per worker and returns ctx.Err().
+// the KGD pipeline of Section V-B/VII-B (see Survivors), retains every
+// survivor and sorts the collision-free bin best-first. Cancelling ctx
+// aborts fabrication within one in-flight die per worker and returns
+// ctx.Err().
 func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfig) (*Batch, error) {
 	chip := topo.BuildChip(spec)
-	free, err := Survivors(ctx, chip, size, 0, cfg, newChiplet)
+	free, err := Survivors(ctx, chip, size, 0, cfg, (*Die).Retain)
 	if err != nil {
 		return nil, err
 	}
-	// Free is in ascending ID order, so ordering ties by ID is the
-	// stable sort by AvgErr, without reflection.
-	slices.SortFunc(free, func(x, y *Chiplet) int {
-		if c := cmp.Compare(x.AvgErr, y.AvgErr); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.ID, y.ID)
-	})
+	sortBin(free)
 	params := cfg.Params
 	return &Batch{Spec: spec, Chip: chip, Size: size, Free: free, kgd: &params}, nil
 }
 
-// newChiplet is Fabricate's keep: it retains a survivor's vectors in
-// one allocation, each capped so neither can append into the other.
-func newChiplet(id int, freq, errs []float64, avg float64) *Chiplet {
-	n := len(freq)
-	vec := make([]float64, n+len(errs))
-	copy(vec, freq)
-	copy(vec[n:], errs)
-	return &Chiplet{ID: id, Freq: vec[:n:n], EdgeErr: vec[n:], AvgErr: avg}
+// sortBin orders the bin best-first, as cmp.Compare on (AvgErr, ID)
+// orders it for every float64. The bin arrives in ascending ID order,
+// so a stable sort on AvgErr alone gives that order: an LSD radix sort
+// on orderKey, one counting pass per byte, skipping any byte that every
+// key shares. The passes move keys and int32 bin positions, which hold
+// no pointer, so they run without GC write barriers.
+func sortBin(free []*Chiplet) {
+	n := len(free)
+	if n < 2 {
+		return
+	}
+	keys, pos := make([]uint64, 2*n), make([]int32, 2*n)
+	src, srcPos, dst, dstPos := keys[:n], pos[:n], keys[n:], pos[n:]
+	var count [8][256]int
+	for i, c := range free {
+		k := orderKey(c.AvgErr)
+		src[i], srcPos[i] = k, int32(i)
+		for b := range count {
+			count[b][byte(k>>(8*b))]++
+		}
+	}
+	for b := range count {
+		next := &count[b]
+		if next[byte(src[0]>>(8*b))] == n {
+			continue
+		}
+		at := 0
+		for d, c := range next {
+			next[d] = at
+			at += c
+		}
+		for i, k := range src {
+			d := byte(k >> (8 * b))
+			dst[next[d]], dstPos[next[d]] = k, srcPos[i]
+			next[d]++
+		}
+		src, srcPos, dst, dstPos = dst, dstPos, src, srcPos
+	}
+	unsorted := slices.Clone(free)
+	for i, p := range srcPos {
+		free[i] = unsorted[p]
+	}
+}
+
+// orderKey maps x to a key whose unsigned order is cmp.Compare's order
+// on float64: every NaN first and equal, then -Inf up to +Inf, with -0
+// equal to +0.
+func orderKey(x float64) uint64 {
+	if x != x {
+		return 0
+	}
+	if x == 0 {
+		x = 0 // -0 sorts as +0
+	}
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// Die is a KGD survivor as Survivors' keep sees it. Its Freq and
+// EdgeErr live in worker scratch that the next die overwrites, so keep
+// copies what it retains and must not retain the Die itself.
+type Die struct {
+	Chiplet
+	w *dieWorker
+}
+
+// dieWorker is one Survivors worker's scratch: its trial RNG, the die
+// it reuses for every trial, the number of survivors it has found, and
+// the unused tails of the chunks that Retain fills.
+type dieWorker struct {
+	rng   *runner.TrialRNG
+	die   Die
+	found int
+	chips []Chiplet
+	vecs  []float64
+}
+
+// chunkBytes bounds each chunk Retain allocates, so that it stays a
+// small object: the runtime serves those from warm per-size spans,
+// while a larger chunk takes fresh pages that it must fault in and
+// zero. A chunk of k dies holds k Chiplets (64 B, the size of 8
+// float64s) and k(n+m) float64s.
+const chunkBytes = 16 << 10
+
+// Retain copies the die into chunks its worker owns and returns the
+// copy, so a retained die costs no allocation of its own. The copy's
+// Freq and EdgeErr are capacity-capped windows of one chunk.
+func (d *Die) Retain() *Chiplet {
+	w, n, m := d.w, len(d.Freq), len(d.EdgeErr)
+	if len(w.chips) == 0 {
+		k := max(chunkBytes/(8*max(n+m, 8)), 1)
+		w.chips = make([]Chiplet, k)
+		w.vecs = make([]float64, k*(n+m))
+	}
+	out := &w.chips[0]
+	vec := w.vecs[: n+m : n+m]
+	w.chips, w.vecs = w.chips[1:], w.vecs[n+m:]
+	copy(vec, d.Freq)
+	copy(vec[n:], d.EdgeErr)
+	*out = Chiplet{ID: d.ID, Freq: vec[:n:n], EdgeErr: vec[n:], AvgErr: d.AvgErr}
+	return out
 }
 
 // Survivors runs the KGD die trial on a batch of `size` dies of chip
 // and returns, in die order, what keep retains of each survivor. Each
 // die samples its frequencies, is discarded at its first Table I
 // collision, and otherwise gets one error per coupling from the
-// detuning model, in chip.G.Edges() order. keep sees the die's index,
-// frequencies, errors and their mean in worker scratch that the next
-// die overwrites, so it copies what it retains. With want > 0 only the
-// first `want` survivors are kept, and the batch stops at the first
-// checkpoint of a worker-sized grid that has found them all; with
-// want <= 0 every die runs. Each die derives its RNG stream from
-// (Seed, die index), so the survivors are identical at any worker
-// count. A negative size is an error. Cancelling ctx aborts within one
-// in-flight die per worker and returns ctx.Err().
+// detuning model, in chip.G.Edges() order, all on the die's trial RNG.
+// keep sees the die in worker scratch (see Die), so it copies what it
+// retains: Fabricate retains the whole die with Die.Retain, and the
+// Fig. 1/6/9/10 callers keep only a mean, nothing or a table. With
+// want > 0 only the first `want` survivors are kept, and the batch
+// stops at the first checkpoint of a worker-sized grid that has found
+// them all; with want <= 0 every die runs. Each die derives its RNG
+// stream from (Seed, die index), so the survivors are identical at any
+// worker count. A negative size is an error. Cancelling ctx aborts
+// within one in-flight die per worker and returns ctx.Err().
 func Survivors[T any](ctx context.Context, chip *topo.Chip, size, want int, cfg BatchConfig,
-	keep func(id int, freq, errs []float64, avg float64) T) ([]T, error) {
+	keep func(d *Die) T) ([]T, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("assembly: negative batch size %d", size)
 	}
@@ -121,32 +214,55 @@ func Survivors[T any](ctx context.Context, chip *topo.Chip, size, want int, cfg 
 		}
 	}
 
-	// Workers reuse one RNG and one buffer for a die's frequencies and
+	// Workers reuse one RNG and one die for a die's frequencies and
 	// errors, so a discarded die costs zero allocations and stops
-	// drawing at its first collision; only keep allocates.
+	// drawing at its first collision.
+	var workers []*dieWorker
+	newWorker := func() *dieWorker {
+		w := &dieWorker{rng: runner.NewTrialRNG()}
+		buf := make([]float64, chip.N+len(edges))
+		w.die = Die{Chiplet: Chiplet{Freq: buf[:chip.N:chip.N], EdgeErr: buf[chip.N:]}, w: w}
+		workers = append(workers, w)
+		return w
+	}
 	var out []T
-	_, err := runner.StreamPlanned(ctx, size, cfg.Workers, checkpoints, runner.NewScratch(chip.N+len(edges)), nil,
-		func(l runner.Scratch, i int) survivor[T] {
-			r := l.RNG.At(cfg.Seed, i)
-			f, errs := l.Buf[:chip.N], l.Buf[chip.N:]
-			if !checker.SampleFree(r, mu, cfg.Fab.Sigma, f) {
+	_, err := runner.StreamPlanned(ctx, size, cfg.Workers, checkpoints, newWorker, nil,
+		func(w *dieWorker, i int) survivor[T] {
+			r := w.rng.At(cfg.Seed, i)
+			d := &w.die
+			if !checker.SampleFree(r, mu, cfg.Fab.Sigma, d.Freq) {
 				return survivor[T]{}
 			}
+			w.found++
 			var sum float64
 			for j, e := range edges {
-				errs[j] = cfg.Det.Sample(r.Rand(), f[e.U]-f[e.V])
-				sum += errs[j]
+				d.EdgeErr[j] = cfg.Det.Sample(r, d.Freq[e.U]-d.Freq[e.V])
+				sum += d.EdgeErr[j]
 			}
-			avg := 0.0
+			d.ID, d.AvgErr = i, 0
 			if len(edges) > 0 {
-				avg = sum / float64(len(edges))
+				d.AvgErr = sum / float64(len(edges))
 			}
-			return survivor[T]{keep(i, f, errs, avg), true}
+			return survivor[T]{keep(d), true}
 		},
 		func(_ int, s survivor[T]) {
-			if s.ok && (want <= 0 || len(out) < want) {
-				out = append(out, s.v)
+			if !s.ok || (want > 0 && len(out) >= want) {
+				return
 			}
+			if out == nil {
+				// observe runs once a block's trials have all returned,
+				// so the workers' counts size out: exactly when
+				// want <= 0, which runs every die in one block.
+				n := 0
+				for _, w := range workers {
+					n += w.found
+				}
+				if want > 0 {
+					n = min(n, want)
+				}
+				out = make([]T, 0, n)
+			}
+			out = append(out, s.v)
 		},
 		func(int) bool { return want > 0 && len(out) == want })
 	if err != nil {

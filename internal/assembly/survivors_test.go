@@ -21,7 +21,7 @@ func TestSurvivorsPrefix(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := testBatchConfig(31)
 		cfg.Workers = workers
-		all, err := Survivors(context.Background(), chip, size, 0, cfg, newChiplet)
+		all, err := Survivors(context.Background(), chip, size, 0, cfg, (*Die).Retain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func TestSurvivorsPrefix(t *testing.T) {
 			t.Fatalf("workers=%d: only %d survivors of %d dies", workers, len(all), size)
 		}
 		for _, k := range []int{1, 2, 3, len(all) + 5} {
-			got, err := Survivors(context.Background(), chip, size, k, cfg, newChiplet)
+			got, err := Survivors(context.Background(), chip, size, k, cfg, (*Die).Retain)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"chipletqc/internal/circuit"
@@ -12,6 +11,7 @@ import (
 	"chipletqc/internal/noise"
 	"chipletqc/internal/qbench"
 	"chipletqc/internal/qsim"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/scenario"
 	"chipletqc/internal/topo"
 )
@@ -117,8 +117,8 @@ func TestErrorAwareRoutingImprovesFidelity(t *testing.T) {
 	// Route with knowledge of a realised error map: the error-aware
 	// compiled circuit should achieve at least the naive fidelity.
 	dev := mcm.MustBuild(mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
-	r := rand.New(rand.NewSource(31))
-	f := fab.DefaultModel().Sample(r, dev)
+	r := runner.NewTrialRNG().At(31, 0)
+	f := fab.DefaultModel().Sample(r.Rand(), dev)
 	a := noise.Assign(r, dev, f, scenario.Paper().DetuningModel(32), noise.DefaultLinkModel())
 
 	logF := func(res *Result) float64 {

@@ -2,13 +2,13 @@ package ecc
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"chipletqc/internal/fab"
 	"chipletqc/internal/graph"
 	"chipletqc/internal/mcm"
 	"chipletqc/internal/noise"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/scenario"
 	"chipletqc/internal/topo"
 )
@@ -164,8 +164,8 @@ func TestRealisticDeviceNeedsBetterGates(t *testing.T) {
 	// Today's ~1-2% errors sit far above the 0.45% threshold — the
 	// paper's motivation for improving CR fidelity.
 	dev := topo.MonolithicDevice(topo.ChipSpec{DenseRows: 4, Width: 12})
-	r := rand.New(rand.NewSource(3))
-	f := fab.DefaultModel().Sample(r, dev)
+	r := runner.NewTrialRNG().At(3, 0)
+	f := fab.DefaultModel().Sample(r.Rand(), dev)
 	a := noise.Assign(r, dev, f, scenario.Paper().DetuningModel(4), noise.DefaultLinkModel())
 	rep := Analyze(dev, a, HeavyHexThreshold)
 	if rep.Qualifies() {

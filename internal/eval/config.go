@@ -203,7 +203,7 @@ func (c *Config) yieldConfig(batch int, seed int64) yield.Config {
 // mean over the population bit-identical at any worker count.
 func (c *Config) monoPopulation(ctx context.Context, spec topo.ChipSpec, batch int, seedOffset int64) (eavgs []float64, yld float64, err error) {
 	eavgs, err = assembly.Survivors(ctx, topo.BuildChip(spec), batch, 0, c.batchConfig(seedOffset),
-		func(_ int, _, _ []float64, avg float64) float64 { return avg })
+		func(d *assembly.Die) float64 { return d.AvgErr })
 	if err != nil {
 		return nil, 0, err
 	}

@@ -3,7 +3,6 @@ package eval
 import (
 	"maps"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -13,6 +12,7 @@ import (
 	"chipletqc/internal/mcm"
 	"chipletqc/internal/noise"
 	"chipletqc/internal/qbench"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/scenario"
 	"chipletqc/internal/topo"
 )
@@ -37,8 +37,8 @@ func perGateLogFidelity(r *compiler.Result, a noise.Assignment) float64 {
 
 func TestTableLogFidelityMatchesPerGateFormula(t *testing.T) {
 	dev := mcm.MustBuild(mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
-	r := rand.New(rand.NewSource(50))
-	base := noise.Assign(r, dev, fab.DefaultModel().Sample(r, dev), scenario.Paper().DetuningModel(51), noise.DefaultLinkModel())
+	r := runner.NewTrialRNG().At(50, 0)
+	base := noise.Assign(r, dev, fab.DefaultModel().Sample(r.Rand(), dev), scenario.Paper().DetuningModel(51), noise.DefaultLinkModel())
 	devIdx := newEdgeIndex(dev.G.Edges())
 	comp := compiler.New(dev, compiler.Options{})
 	width := qbench.UtilizedQubits(dev.N)

@@ -147,18 +147,21 @@ func Fig6(ctx context.Context, cfg Config, batch int, maxDim int) (Fig6Result, e
 	if err != nil {
 		return Fig6Result{}, err
 	}
-	b, err := assembly.Fabricate(ctx, spec, batch, cfg.batchConfig(seedOffFig6Batch))
+	// Only the bin's size matters here, so no survivor is retained.
+	free, err := assembly.Survivors(ctx, topo.BuildChip(spec), batch, 0, cfg.batchConfig(seedOffFig6Batch),
+		func(*assembly.Die) struct{} { return struct{}{} })
 	if err != nil {
 		return Fig6Result{}, err
 	}
-	res := Fig6Result{Batch: batch, FreeChiplets: len(b.Free), Yield: b.Yield()}
+	nfree := len(free)
+	res := Fig6Result{Batch: batch, FreeChiplets: nfree, Yield: float64(nfree) / float64(batch)}
 	for m := 2; m <= maxDim; m++ {
 		chips := m * m
 		res.Rows = append(res.Rows, Fig6Row{
 			Dim:          m,
 			Chips:        chips,
-			Log10Configs: assembly.Log10Configurations(len(b.Free), chips),
-			MaxMCMs:      assembly.MaxAssemblies(len(b.Free), chips),
+			Log10Configs: assembly.Log10Configurations(nfree, chips),
+			MaxMCMs:      assembly.MaxAssemblies(nfree, chips),
 		})
 	}
 	return res, nil

@@ -233,7 +233,7 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int) (
 	monoChip := topo.BuildChip(g.MonolithicCounterpart())
 	monoDev := monoChip.Device()
 	monoTables, err := assembly.Survivors(ctx, monoChip, cfg.MonoBatch, samples, cfg.batchConfig(seedOffFig10Mono+int64(gi)),
-		func(_ int, _, errs []float64, _ float64) []float64 { return logTableOf(errs) })
+		func(d *assembly.Die) []float64 { return logTableOf(d.EdgeErr) })
 	if err != nil {
 		return nil, err
 	}

@@ -151,7 +151,7 @@ func TestLinkModelClamps(t *testing.T) {
 func TestDetuningModelBinWidthDefault(t *testing.T) {
 	pts := []CalibPoint{{Detuning: 0.05, Infidelity: 0.01}}
 	m := NewDetuningModel(pts, -1)
-	r := rand.New(rand.NewSource(10))
+	r := runner.NewTrialRNG().At(10, 0)
 	if e := m.Sample(r, 0.05); math.Abs(e-0.01) > 1e-12 {
 		t.Errorf("sample = %v", e)
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"chipletqc/internal/graph"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/stats"
 	"chipletqc/internal/topo"
 )
@@ -19,6 +20,9 @@ const BinWidthFig7 = 0.1
 // bin matching the pair's realised detuning (paper Section VI-A).
 type DetuningModel struct {
 	series *stats.BinnedSeries
+	// nearest[i] is NearestNonEmpty's bin for bin i, looked up once at
+	// construction; every entry is nil when the model holds no data.
+	nearest [][]float64
 }
 
 // NewDetuningModel bins the calibration points at the given width.
@@ -37,17 +41,24 @@ func NewDetuningModel(points []CalibPoint, binWidth float64) *DetuningModel {
 	for _, p := range points {
 		s.Add(math.Abs(p.Detuning), p.Infidelity)
 	}
-	return &DetuningModel{series: s}
+	return &DetuningModel{series: s, nearest: s.NearestTable()}
 }
 
 // Sample draws one gate infidelity for a coupling with the given
-// detuning. It panics if the model holds no calibration data at all.
-func (m *DetuningModel) Sample(r *rand.Rand, detuning float64) float64 {
-	bin := m.series.NearestNonEmpty(math.Abs(detuning))
+// detuning: a uniform pick, by one r.Intn, from the calibration bin
+// nearest the detuning's magnitude. It panics if the model holds no
+// calibration data at all.
+func (m *DetuningModel) Sample(r *runner.TrialRNG, detuning float64) float64 {
+	bin := m.bin(detuning)
 	if bin == nil {
 		panic("noise: detuning model has no calibration data")
 	}
-	return stats.Choice(r, bin)
+	return bin[r.Intn(len(bin))]
+}
+
+// bin returns the calibration bin Sample draws from for a detuning.
+func (m *DetuningModel) bin(detuning float64) []float64 {
+	return m.nearest[m.series.Index(math.Abs(detuning))]
 }
 
 // PooledStats returns the median and mean of all calibration
@@ -114,12 +125,13 @@ type Assignment struct {
 
 // Assign realises gate errors for device d with sampled frequencies f:
 // intra-chip couplings sample the empirical detuning model; inter-chip
-// links sample the link model (paper Sections VI-A and VI-B).
-func Assign(r *rand.Rand, d *topo.Device, f []float64, det *DetuningModel, link LinkModel) Assignment {
+// links sample the link model through r.Rand(), on the same stream
+// (paper Sections VI-A and VI-B).
+func Assign(r *runner.TrialRNG, d *topo.Device, f []float64, det *DetuningModel, link LinkModel) Assignment {
 	errs := make(map[graph.Edge]float64, d.G.M())
 	for _, e := range d.G.Edges() {
 		if d.Link[e] {
-			errs[e] = link.Sample(r)
+			errs[e] = link.Sample(r.Rand())
 		} else {
 			errs[e] = det.Sample(r, f[e.U]-f[e.V])
 		}

@@ -8,6 +8,7 @@ import (
 
 	"chipletqc/internal/fab"
 	"chipletqc/internal/mcm"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/stats"
 	"chipletqc/internal/topo"
 )
@@ -98,7 +99,7 @@ func TestDetuningModelSamplesFromMatchingBin(t *testing.T) {
 		{Detuning: 0.45, Infidelity: 0.2},
 	}
 	m := NewDetuningModel(pts, 0.1)
-	r := rand.New(rand.NewSource(2))
+	r := runner.NewTrialRNG().At(2, 0)
 	for i := 0; i < 100; i++ {
 		if e := m.Sample(r, 0.06); e > 0.01 {
 			t.Fatalf("low-detuning sample %v drew from wrong bin", e)
@@ -116,10 +117,45 @@ func TestDetuningModelSamplesFromMatchingBin(t *testing.T) {
 func TestDetuningModelNearestBinFallback(t *testing.T) {
 	pts := []CalibPoint{{Detuning: 0.25, Infidelity: 0.03}}
 	m := NewDetuningModel(pts, 0.1)
-	r := rand.New(rand.NewSource(3))
+	r := runner.NewTrialRNG().At(3, 0)
 	// A detuning in an empty bin falls back to the nearest populated one.
 	if e := m.Sample(r, 0.02); e != 0.03 {
 		t.Errorf("fallback sample = %v, want 0.03", e)
+	}
+}
+
+// TestDetuningModelBinTable pins Sample's precomputed lookup to the
+// outward search it replaces: on a model whose bins 0, 2, 3 and 5 are
+// empty, the table returns NearestNonEmpty's bin (the same slice) at
+// every bin centre, at both edges of every bin, and beyond the range.
+func TestDetuningModelBinTable(t *testing.T) {
+	pts := []CalibPoint{
+		{Detuning: 0.15, Infidelity: 0.01},
+		{Detuning: -0.12, Infidelity: 0.02},
+		{Detuning: 0.41, Infidelity: 0.05},
+	}
+	m := NewDetuningModel(pts, 0.1)
+	w := m.series.Width
+	var xs []float64
+	for i := range m.series.Bins {
+		lo, hi := float64(i)*w, float64(i+1)*w
+		xs = append(xs, lo, (lo+hi)/2, math.Nextafter(hi, 0), hi, -lo, -hi)
+	}
+	xs = append(xs, 10, math.Inf(1))
+	empty := 0
+	for _, b := range m.series.Bins {
+		if len(b) == 0 {
+			empty++
+		}
+	}
+	if empty != 4 {
+		t.Fatalf("model has %d empty bins, want 4", empty)
+	}
+	for _, x := range xs {
+		got, want := m.bin(x), m.series.NearestNonEmpty(math.Abs(x))
+		if len(got) == 0 || &got[0] != &want[0] || len(got) != len(want) {
+			t.Errorf("detuning %v: table bin %v, NearestNonEmpty %v", x, got, want)
+		}
 	}
 }
 
@@ -130,7 +166,7 @@ func TestDetuningModelEmptyPanics(t *testing.T) {
 			t.Error("expected panic with no calibration data")
 		}
 	}()
-	m.Sample(rand.New(rand.NewSource(1)), 0.05)
+	m.Sample(runner.NewTrialRNG().At(1, 0), 0.05)
 }
 
 func TestLinkModelStatistics(t *testing.T) {
@@ -217,8 +253,8 @@ func TestLinkRatioModels(t *testing.T) {
 
 func TestAssignCoversEveryCoupling(t *testing.T) {
 	d := mcm.MustBuild(mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
-	r := rand.New(rand.NewSource(12))
-	f := fab.DefaultModel().Sample(r, d)
+	r := runner.NewTrialRNG().At(12, 0)
+	f := fab.DefaultModel().Sample(r.Rand(), d)
 	det := testDetuningModel(13)
 	a := Assign(r, d, f, det, DefaultLinkModel())
 	if len(a.Err) != d.G.M() {
@@ -238,8 +274,8 @@ func TestAssignLinksAreNoisierAtStateOfArt(t *testing.T) {
 	// e_link/e_chip ~ 4 at state of art: link couplings should average
 	// well above on-chip couplings.
 	d := mcm.MustBuild(mcm.Grid{Rows: 3, Cols: 3, Spec: topo.ChipSpec{DenseRows: 4, Width: 12}})
-	r := rand.New(rand.NewSource(21))
-	f := fab.DefaultModel().Sample(r, d)
+	r := runner.NewTrialRNG().At(21, 0)
+	f := fab.DefaultModel().Sample(r.Rand(), d)
 	det := testDetuningModel(22)
 	a := Assign(r, d, f, det, DefaultLinkModel())
 	var link, chip []float64
@@ -261,8 +297,8 @@ func TestAssignLinksAreNoisierAtStateOfArt(t *testing.T) {
 
 func TestAssignmentAccessors(t *testing.T) {
 	d := topo.MonolithicDevice(topo.ChipSpec{DenseRows: 1, Width: 8})
-	r := rand.New(rand.NewSource(30))
-	f := fab.DefaultModel().Sample(r, d)
+	r := runner.NewTrialRNG().At(30, 0)
+	f := fab.DefaultModel().Sample(r.Rand(), d)
 	det := testDetuningModel(31)
 	a := Assign(r, d, f, det, DefaultLinkModel())
 	e := d.G.Edges()[0]
@@ -306,8 +342,8 @@ func TestAssignmentMeanIsDeterministic(t *testing.T) {
 	// summed in map order changes its low bits from call to call on a
 	// device this large.
 	d := mcm.MustBuild(mcm.Grid{Rows: 5, Cols: 5, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
-	r := rand.New(rand.NewSource(40))
-	f := fab.DefaultModel().Sample(r, d)
+	r := runner.NewTrialRNG().At(40, 0)
+	f := fab.DefaultModel().Sample(r.Rand(), d)
 	a := Assign(r, d, f, testDetuningModel(41), DefaultLinkModel())
 	want := math.Float64bits(a.MeanOver(d.G.Edges()))
 	for i := 0; i < 50; i++ {
@@ -319,8 +355,8 @@ func TestAssignmentMeanIsDeterministic(t *testing.T) {
 
 func TestAssignmentEdgesSorted(t *testing.T) {
 	d := mcm.MustBuild(mcm.Grid{Rows: 2, Cols: 2, Spec: topo.ChipSpec{DenseRows: 2, Width: 8}})
-	r := rand.New(rand.NewSource(42))
-	a := Assign(r, d, fab.DefaultModel().Sample(r, d), testDetuningModel(43), DefaultLinkModel())
+	r := runner.NewTrialRNG().At(42, 0)
+	a := Assign(r, d, fab.DefaultModel().Sample(r.Rand(), d), testDetuningModel(43), DefaultLinkModel())
 	if got, want := a.Edges(), d.G.Edges(); !slices.Equal(got, want) {
 		t.Errorf("Edges() = %v, want the device's sorted edges %v", got, want)
 	}

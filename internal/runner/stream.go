@@ -50,6 +50,39 @@ func (t *TrialRNG) Float64() float64 {
 	}
 }
 
+// Intn returns rand.Rand.Intn's draw on this stream: a uniform int in
+// [0, n), with math/rand's power-of-two mask and rejection loop, so it
+// consumes exactly the draws rand.Rand.Intn would. It panics if n <= 0.
+func (t *TrialRNG) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		// rand.Rand.Int31n on Int31 = Int63() >> 32.
+		n32 := int32(n)
+		if n32&(n32-1) == 0 {
+			return int(int32(t.src.Int63()>>32) & (n32 - 1))
+		}
+		max := int32((1 << 31) - 1 - (1<<31)%uint32(n32))
+		v := int32(t.src.Int63() >> 32)
+		for v > max {
+			v = int32(t.src.Int63() >> 32)
+		}
+		return int(v % n32)
+	}
+	// rand.Rand.Int63n.
+	n64 := int64(n)
+	if n64&(n64-1) == 0 {
+		return int(t.src.Int63() & (n64 - 1))
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n64))
+	v := t.src.Int63()
+	for v > max {
+		v = t.src.Int63()
+	}
+	return int(v % n64)
+}
+
 // NormFloat64 returns rand.Rand.NormFloat64's draw on this stream: a
 // standard normal variate from the Marsaglia-Tsang ziggurat. Over 99%
 // of draws take the one-comparison fast path here; the rest finish in
@@ -148,8 +181,11 @@ func Checkpoints(min, max int) []int {
 // trial i's result must depend only on i; blocks always run to their
 // checkpoint before any stop decision, and observe sees results in
 // index order — so the executed trial count and every aggregate are
-// bit-identical at any worker count. Checkpoints are clamped to
-// (0, max] and deduplicated; a final checkpoint at max is implied.
+// bit-identical at any worker count. newLocal, observe and stop run on
+// the coordinating goroutine, observe and stop only once every trial
+// of the block has returned, so they may read the locals. Checkpoints
+// are clamped to (0, max] and deduplicated; a final checkpoint at max
+// is implied.
 //
 // When plan is non-nil it is called with the half-open trial range
 // [lo, hi) of each upcoming block before any worker starts it, on the

@@ -30,10 +30,11 @@ func TestCheckpoints(t *testing.T) {
 	}
 }
 
-// TestTrialRNGMatchesRand pins TrialRNG's copy of the ziggurat and Float64
-// to math/rand v1 on the same SplitMix64 stream: 10^6 interleaved draws
-// over a thousand (seed, trial) streams must agree bit for bit, with
-// the ziggurat's base-strip tail and wedge branches each exercised.
+// TestTrialRNGMatchesRand pins TrialRNG's copy of the ziggurat, Float64
+// and Intn to math/rand v1 on the same SplitMix64 stream: 10^6
+// interleaved draws over a thousand (seed, trial) streams must agree bit
+// for bit, with the ziggurat's base-strip tail and wedge branches each
+// exercised, and so must Intn's draws and stream position on every row.
 func TestTrialRNGMatchesRand(t *testing.T) {
 	rng := NewTrialRNG()
 	tails, wedges := 0, 0
@@ -68,6 +69,45 @@ func TestTrialRNGMatchesRand(t *testing.T) {
 	}
 	if tails == 0 || wedges == 0 {
 		t.Errorf("ziggurat branches unexercised: %d tail, %d wedge draws", tails, wedges)
+	}
+
+	// Intn: every row's draws and the stream position after them match
+	// rand.Rand.Intn. 3<<29 rejects a quarter of its Int31 draws (the
+	// other rows reject too rarely to be seen); 1<<31 and up take the
+	// Int63n path.
+	for _, n := range []int{1, 2, 64, 1 << 30, 3, 7, 1000, 3 << 29, 1<<31 - 1, 1 << 31, 1<<40 + 3} {
+		extra := 0
+		for i := 0; i < 50; i++ {
+			want := rand.New(&splitmix{state: uint64(Seed(int64(n), i))})
+			got := rng.At(int64(n), i)
+			shadow := got.src
+			for k := 0; k < 200; k++ {
+				if w, g := want.Intn(n), got.Intn(n); w != g {
+					t.Fatalf("Intn(%d) trial %d draw %d: TrialRNG %d != math/rand %d", n, i, k, g, w)
+				}
+				shadow.Uint64()
+				for shadow.state != got.src.state {
+					shadow.Uint64()
+					extra++
+				}
+			}
+			if w, g := want.Int63(), got.Rand().Int63(); w != g {
+				t.Fatalf("Intn(%d) trial %d: stream position differs after the draws", n, i)
+			}
+		}
+		if rejects := n == 3<<29; rejects != (extra > 0) {
+			t.Errorf("Intn(%d): %d redrawn values, want redraws only for 3<<29", n, extra)
+		}
+	}
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Intn(%d) did not panic", n)
+				}
+			}()
+			rng.Intn(n)
+		}()
 	}
 }
 

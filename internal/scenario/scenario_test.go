@@ -2,11 +2,11 @@ package scenario
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"chipletqc/internal/noise"
+	"chipletqc/internal/runner"
 	"chipletqc/internal/topo"
 )
 
@@ -205,8 +205,8 @@ func TestPaperDetuningModelMatchesLegacyDefault(t *testing.T) {
 	got := Paper().DetuningModel(seed)
 	want := noise.NewDetuningModel(noise.CalibrationRun(noise.WashingtonSpec(), noise.FreqSpreadFig7, 15, seed,
 		noise.DefaultCalibConfig()), noise.BinWidthFig7)
-	r1 := rand.New(rand.NewSource(1))
-	r2 := rand.New(rand.NewSource(1))
+	r1 := runner.NewTrialRNG().At(1, 0)
+	r2 := runner.NewTrialRNG().At(1, 0)
 	for _, det := range []float64{0, 0.05, 0.165, 0.33, 0.6} {
 		for i := 0; i < 50; i++ {
 			g, w := got.Sample(r1, det), want.Sample(r2, det)

@@ -27,10 +27,10 @@ func NewBinnedSeries(lo, width float64, n int) *BinnedSeries {
 	return &BinnedSeries{Lo: lo, Width: width, Bins: bins}
 }
 
-// binIndex returns the bin index for x, clamping to the first/last bin
+// Index returns the bin index for x, clamping to the first/last bin
 // so out-of-range observations are retained at the edges (the paper's
 // model samples from the nearest characterised detuning interval).
-func (b *BinnedSeries) binIndex(x float64) int {
+func (b *BinnedSeries) Index(x float64) int {
 	idx := int(math.Floor((x - b.Lo) / b.Width))
 	if idx < 0 {
 		idx = 0
@@ -43,7 +43,7 @@ func (b *BinnedSeries) binIndex(x float64) int {
 
 // Add records observation y at coordinate x.
 func (b *BinnedSeries) Add(x, y float64) {
-	i := b.binIndex(x)
+	i := b.Index(x)
 	b.Bins[i] = append(b.Bins[i], y)
 }
 
@@ -51,7 +51,22 @@ func (b *BinnedSeries) Add(x, y float64) {
 // bin containing x, searching outward symmetrically. It returns nil only
 // when every bin is empty.
 func (b *BinnedSeries) NearestNonEmpty(x float64) []float64 {
-	center := b.binIndex(x)
+	return b.nearest(b.Index(x))
+}
+
+// NearestTable returns NearestNonEmpty's bin for every bin, indexed by
+// Index, so a caller that looks up many x values searches each bin once.
+func (b *BinnedSeries) NearestTable() [][]float64 {
+	out := make([][]float64, len(b.Bins))
+	for i := range out {
+		out[i] = b.nearest(i)
+	}
+	return out
+}
+
+// nearest returns the non-empty bin closest to bin center, searching
+// outward symmetrically (lower index first), or nil.
+func (b *BinnedSeries) nearest(center int) []float64 {
 	if len(b.Bins[center]) > 0 {
 		return b.Bins[center]
 	}

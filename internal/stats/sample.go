@@ -39,12 +39,6 @@ func LogNormalParams(mean, median float64) (mu, sigma float64) {
 	return mu, sigma
 }
 
-// Choice returns a uniformly random element of xs. It panics on an empty
-// slice; callers guard with NearestNonEmpty-style fallbacks.
-func Choice(r *rand.Rand, xs []float64) float64 {
-	return xs[r.Intn(len(xs))]
-}
-
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {

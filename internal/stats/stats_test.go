@@ -151,10 +151,10 @@ func TestBinnedSeries(t *testing.T) {
 	b.Add(0.05, 1)
 	b.Add(0.07, 2)
 	b.Add(0.45, 3)
-	if got := b.Bins[b.binIndex(0.05)]; len(got) != 2 {
+	if got := b.Bins[b.Index(0.05)]; len(got) != 2 {
 		t.Errorf("bin of 0.05 = %v, want 2 values", got)
 	}
-	if got := b.Bins[b.binIndex(0.49)]; len(got) != 1 || got[0] != 3 {
+	if got := b.Bins[b.Index(0.49)]; len(got) != 1 || got[0] != 3 {
 		t.Errorf("bin of 0.49 = %v, want [3]", got)
 	}
 	if got := b.All(); len(got) != 3 {
@@ -231,16 +231,8 @@ func TestLogNormalParamsDegenerate(t *testing.T) {
 	}
 }
 
-func TestChoiceAndClampAndPerm(t *testing.T) {
+func TestClampAndPerm(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	xs := []float64{1, 2, 3}
-	seen := map[float64]bool{}
-	for i := 0; i < 100; i++ {
-		seen[Choice(r, xs)] = true
-	}
-	if len(seen) != 3 {
-		t.Errorf("Choice over 100 draws should hit all 3 values, saw %v", seen)
-	}
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp misbehaves")
 	}
