@@ -114,6 +114,13 @@ type Stats struct {
 // before it. So the first k modules pulled are bit-identical to the
 // first k that a full drain (Assemble) returns, and a caller that keeps
 // only the best k stops paying for the rest of the bin.
+//
+// The assembler reads the bin only from the front: each candidate
+// subset is the best `chips` dies not yet placed or set aside. So on a
+// prefix of the bin it makes the full bin's choices, shuffles and draws
+// until fewer than `chips` candidates remain, and a pull that ends
+// before then equals the full bin's. TakeBest rests on this: it
+// assembles from the best few dies and deepens only on exhaustion.
 type Assembler struct {
 	grid      mcm.Grid
 	cfg       AssembleConfig

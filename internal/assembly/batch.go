@@ -63,9 +63,14 @@ type BatchConfig struct {
 
 // Fabricate runs a batch of `size` chiplets of the given spec through
 // the KGD pipeline of Section V-B/VII-B (see Survivors), retains every
-// survivor and sorts the collision-free bin best-first. Cancelling ctx
-// aborts fabrication within one in-flight die per worker and returns
-// ctx.Err().
+// survivor and sorts the collision-free bin best-first. Its callers read
+// the whole bin: Fig. 8 drains it, Fig. 9 pulls one module per
+// monolithic survivor (up to a third of the bin), and mcmsim and the
+// facade assemble everything. For them a retained die is cheaper than
+// TakeBest's rebuild, which would run every die trial twice. A caller
+// that wants only the best few modules calls TakeBest, which retains no
+// bin. Cancelling ctx aborts fabrication within one in-flight die per
+// worker and returns ctx.Err().
 func Fabricate(ctx context.Context, spec topo.ChipSpec, size int, cfg BatchConfig) (*Batch, error) {
 	chip := topo.BuildChip(spec)
 	free, err := Survivors(ctx, chip, size, 0, cfg, (*Die).Retain)
@@ -146,10 +151,11 @@ type Die struct {
 	w *dieWorker
 }
 
-// dieWorker is one Survivors worker's scratch: its trial RNG, the die
-// it reuses for every trial, the number of survivors it has found, and
-// the unused tails of the chunks that Retain fills.
+// dieWorker runs the die trial: it holds its own copy of the trial, its
+// trial RNG, the die it reuses for every trial, the number of survivors
+// it has found, and the unused tails of the chunks that Retain fills.
 type dieWorker struct {
+	trial dieTrial
 	rng   *runner.TrialRNG
 	die   Die
 	found int
@@ -183,67 +189,51 @@ func (d *Die) Retain() *Chiplet {
 	return out
 }
 
-// Survivors runs the KGD die trial on a batch of `size` dies of chip
-// and returns, in die order, what keep retains of each survivor. Each
-// die samples its frequencies, is discarded at its first Table I
-// collision, and otherwise gets one error per coupling from the
-// detuning model, in chip.G.Edges() order, all on the die's trial RNG.
-// keep sees the die in worker scratch (see Die), so it copies what it
-// retains: Fabricate retains the whole die with Die.Retain, and the
-// Fig. 1/6/9/10 callers keep only a mean, nothing or a table. With
-// want > 0 only the first `want` survivors are kept, and the batch
-// stops at the first checkpoint of a worker-sized grid that has found
-// them all; with want <= 0 every die runs. Each die derives its RNG
-// stream from (Seed, die index), so the survivors are identical at any
-// worker count. A negative size is an error. Cancelling ctx aborts
-// within one in-flight die per worker and returns ctx.Err().
+// Survivors runs the KGD die trial (see dieTrial) on a batch of `size`
+// dies of chip and returns, in die order, what keep retains of each
+// survivor. keep sees the die in worker scratch (see Die), so it copies
+// what it retains: Fabricate retains the whole die with Die.Retain,
+// TakeBest a rank key, and the Fig. 1/6/9/10 callers keep only a mean,
+// nothing or a table. With want > 0 only the first `want` survivors are
+// kept, and the batch stops at the first checkpoint of a worker-sized
+// grid that has found them all; with want <= 0 every die runs. Each die
+// derives its RNG stream from (Seed, die index), so the survivors are
+// identical at any worker count. A negative size is an error.
+// Cancelling ctx aborts within one in-flight die per worker and returns
+// ctx.Err().
 func Survivors[T any](ctx context.Context, chip *topo.Chip, size, want int, cfg BatchConfig,
+	keep func(d *Die) T) ([]T, error) {
+	return survivors(ctx, newDieTrial(chip, cfg), size, want, cfg.Workers, keep)
+}
+
+// survivors is Survivors on a compiled die trial.
+func survivors[T any](ctx context.Context, trial dieTrial, size, want, workerCount int,
 	keep func(d *Die) T) ([]T, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("assembly: negative batch size %d", size)
 	}
-	dev := chip.Device()
-	checker := collision.NewChecker(dev, cfg.Params)
-	edges := chip.G.Edges()
-	mu := cfg.Fab.Targets(dev)
 	var checkpoints []int
 	if want > 0 {
-		chunk := runner.Workers(cfg.Workers, size) * 32
+		chunk := runner.Workers(workerCount, size) * 32
 		for cp := chunk; cp < size; cp += chunk {
 			checkpoints = append(checkpoints, cp)
 		}
 	}
 
-	// Workers reuse one RNG and one die for a die's frequencies and
-	// errors, so a discarded die costs zero allocations and stops
-	// drawing at its first collision.
 	var workers []*dieWorker
 	newWorker := func() *dieWorker {
-		w := &dieWorker{rng: runner.NewTrialRNG()}
-		buf := make([]float64, chip.N+len(edges))
-		w.die = Die{Chiplet: Chiplet{Freq: buf[:chip.N:chip.N], EdgeErr: buf[chip.N:]}, w: w}
+		w := trial.newWorker()
 		workers = append(workers, w)
 		return w
 	}
 	var out []T
-	_, err := runner.StreamPlanned(ctx, size, cfg.Workers, checkpoints, newWorker, nil,
+	_, err := runner.StreamPlanned(ctx, size, workerCount, checkpoints, newWorker, nil,
 		func(w *dieWorker, i int) survivor[T] {
-			r := w.rng.At(cfg.Seed, i)
-			d := &w.die
-			if !checker.SampleFree(r, mu, cfg.Fab.Sigma, d.Freq) {
+			if !w.run(i) {
 				return survivor[T]{}
 			}
 			w.found++
-			var sum float64
-			for j, e := range edges {
-				d.EdgeErr[j] = cfg.Det.Sample(r, d.Freq[e.U]-d.Freq[e.V])
-				sum += d.EdgeErr[j]
-			}
-			d.ID, d.AvgErr = i, 0
-			if len(edges) > 0 {
-				d.AvgErr = sum / float64(len(edges))
-			}
-			return survivor[T]{keep(d), true}
+			return survivor[T]{keep(&w.die), true}
 		},
 		func(_ int, s survivor[T]) {
 			if !s.ok || (want > 0 && len(out) >= want) {
@@ -269,6 +259,69 @@ func Survivors[T any](ctx context.Context, chip *topo.Chip, size, want int, cfg 
 		return nil, err
 	}
 	return out, nil
+}
+
+// dieTrial is the KGD die trial of one batch (Section V-B/VII-B), the
+// one body that both Survivors' loop and TakeBest's rebuild run. A die
+// samples its frequencies, is discarded at its first Table I collision,
+// and otherwise gets one error per coupling from the detuning model, in
+// chip.G.Edges() order, all on the die's trial RNG. It is small enough
+// for a closure to hold by value, so compiling it costs no allocation
+// of its own, and each worker runs its own copy.
+type dieTrial struct {
+	checker *collision.Checker
+	edges   []graph.Edge
+	mu      []float64 // target frequency per qubit
+	sigma   float64
+	det     *noise.DetuningModel
+	seed    int64
+	qubits  int
+}
+
+func newDieTrial(chip *topo.Chip, cfg BatchConfig) dieTrial {
+	dev := chip.Device()
+	return dieTrial{
+		checker: collision.NewChecker(dev, cfg.Params),
+		edges:   chip.G.Edges(),
+		mu:      cfg.Fab.Targets(dev),
+		sigma:   cfg.Fab.Sigma,
+		det:     cfg.Det,
+		seed:    cfg.Seed,
+		qubits:  chip.N,
+	}
+}
+
+// newWorker returns a worker for the trial. Its RNG and die are reused
+// for every die it runs, so a discarded die costs zero allocations and
+// stops drawing at its first collision.
+func (t dieTrial) newWorker() *dieWorker {
+	n := t.qubits
+	w := &dieWorker{trial: t, rng: runner.NewTrialRNG()}
+	buf := make([]float64, n+len(t.edges))
+	w.die = Die{Chiplet: Chiplet{Freq: buf[:n:n], EdgeErr: buf[n:]}, w: w}
+	return w
+}
+
+// run runs die i of the batch into w.die and reports whether it
+// survived KGD. A survivor's Freq, EdgeErr, ID and AvgErr are all set;
+// a discarded die stops at its first collision and leaves w.die stale.
+func (w *dieWorker) run(i int) bool {
+	t := &w.trial
+	r := w.rng.At(t.seed, i)
+	d := &w.die
+	if !t.checker.SampleFree(r, t.mu, t.sigma, d.Freq) {
+		return false
+	}
+	var sum float64
+	for j, e := range t.edges {
+		d.EdgeErr[j] = t.det.Sample(r, d.Freq[e.U]-d.Freq[e.V])
+		sum += d.EdgeErr[j]
+	}
+	d.ID, d.AvgErr = i, 0
+	if len(t.edges) > 0 {
+		d.AvgErr = sum / float64(len(t.edges))
+	}
+	return true
 }
 
 // survivor is one die's outcome in Survivors: ok marks a KGD survivor

@@ -16,6 +16,10 @@
 // the scenario's link model. Assemble drains an Assembler and reports
 // the run's Stats, including the analytic bump-bond survival;
 // AssembleStats reports the same Stats without building the modules.
+// TakeBest runs both stages for a caller that wants only the best few
+// modules (Fig. 10): it keeps a rank key per survivor instead of a bin,
+// rebuilds from their RNG streams only the dies its pull can reach, and
+// returns exactly the modules that the full bin would give.
 //
 // A module's collision check is exact with only its seam criteria when
 // its dies passed KGD under the same Table I params. Every criterion

@@ -49,10 +49,8 @@ func TestSurvivorsPrefix(t *testing.T) {
 	}
 }
 
-// sameChiplets reports whether two chiplet lists match die for die.
+// sameChiplets reports whether two chiplet lists match die for die,
+// bit for bit.
 func sameChiplets(a, b []*Chiplet) bool {
-	return slices.EqualFunc(a, b, func(x, y *Chiplet) bool {
-		return x.ID == y.ID && x.AvgErr == y.AvgErr &&
-			slices.Equal(x.Freq, y.Freq) && slices.Equal(x.EdgeErr, y.EdgeErr)
-	})
+	return slices.EqualFunc(a, b, sameDieBits)
 }

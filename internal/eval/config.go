@@ -83,7 +83,10 @@ type Config struct {
 	Fig4MaxQubits int // Fig. 4 size-ladder bound (paper: ~10^3)
 	Fig6Batch     int // Fig. 6 chiplet batch (paper: 10^5)
 	Fig6MaxDim    int // Fig. 6 largest square dimension (default 7)
-	Fig10Samples  int // Fig. 10 device instances per architecture (default 3)
+	// Fig10Samples is the Fig. 10 device instances per architecture:
+	// 5 from ConfigFor, 2 from QuickConfigFor. Fig10 itself takes
+	// samples as an argument and falls back to 3 when it is below 1.
+	Fig10Samples int
 }
 
 // ConfigFor returns full-paper-scale settings under the given scenario:

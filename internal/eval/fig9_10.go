@@ -208,25 +208,17 @@ func Fig10(ctx context.Context, cfg Config, grids []mcm.Grid, samples int) ([]Fi
 // fig10System evaluates the benchmark suite on one MCM system against
 // its monolithic counterpart.
 func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int) ([]Fig10Point, error) {
-	// MCM side: pull the best `samples` modules from a wafer-area-scaled
-	// batch (equal-count selection, matching the Fig. 9 comparison
-	// semantics); the rest of the bin is never assembled.
+	// MCM side: the best `samples` modules of a wafer-area-scaled batch
+	// (equal-count selection, matching the Fig. 9 comparison semantics);
+	// only the dies those modules can reach are kept and assembled.
 	scaled := cfg.ChipletBatch * g.Chips()
-	b, err := assembly.Fabricate(ctx, g.Spec, scaled, cfg.batchConfig(seedOffFig10Fabricate+int64(gi)))
-	if err != nil {
-		return nil, err
-	}
 	acfg := cfg.assembleConfig(seedOffFig10Assemble + int64(gi))
 	acfg.Link = cfg.linkModel()
-	asm, err := assembly.NewAssembler(b, g, acfg)
+	mods, mcmDev, chip, err := assembly.TakeBest(ctx, g, scaled, samples,
+		cfg.batchConfig(seedOffFig10Fabricate+int64(gi)), acfg)
 	if err != nil {
 		return nil, err
 	}
-	mods, err := asm.Take(ctx, samples)
-	if err != nil {
-		return nil, err
-	}
-	mcmDev := asm.Device()
 
 	// Monolithic side: the ln(1 - e) tables of the first `samples` KGD
 	// survivors of the monolithic batch, in monoDev.G.Edges() order.
@@ -257,7 +249,7 @@ func fig10System(ctx context.Context, cfg Config, g mcm.Grid, gi, samples int) (
 		monoComp = compiler.New(monoDev, compiler.Options{})
 		mcmIdx = newEdgeIndex(mcmDev.G.Edges())
 		for _, m := range mods {
-			mcmTables = append(mcmTables, mcmIdx.logTable(m.Errors(mcmDev, b.Chip)))
+			mcmTables = append(mcmTables, mcmIdx.logTable(m.Errors(mcmDev, chip)))
 		}
 		monoIdx = newEdgeIndex(monoDev.G.Edges())
 	}
